@@ -61,7 +61,8 @@ type Controller struct {
 	ctJittered *trace.Counter
 
 	// First-class metrics (nil when no registry is armed; every method on
-	// a nil instrument is a free no-op).
+	// a nil instrument is a free no-op). reg is handed on to the driver.
+	reg       *obs.Registry
 	mDrops    *obs.Counter
 	mDelayed  *obs.Counter
 	mJittered *obs.Counter
@@ -77,13 +78,35 @@ type ControllerStats struct {
 	ThrottleEvents int
 }
 
-// NewController builds a controller for the given path.
+// NewController builds a controller for the given path, instrumented
+// with the path's probes. Trace receives knob changes, per-GET delays and
+// drop decisions; Metrics counts every intervention (drops, delayed GETs,
+// jittered packets, throttle changes) as it happens, so a live /metrics
+// scrape shows the attack's footprint mid-trial. The attack driver emits
+// its phase transitions through the same probes.
 func NewController(sched *simtime.Scheduler, rng *simtime.Rand, path *netsim.Path) *Controller {
 	c := &Controller{
 		sched:      sched,
 		rng:        rng,
 		path:       path,
 		randJitter: make(map[netsim.Direction]time.Duration),
+	}
+	if tr := path.Probes().Trace; tr.Enabled() {
+		c.tr = tr
+		c.ctDrops = tr.Counter(trace.LayerAdversary, "dropped")
+		c.ctDelayed = tr.Counter(trace.LayerAdversary, "delayed-gets")
+		c.ctJittered = tr.Counter(trace.LayerAdversary, "jittered")
+	}
+	if reg := path.Probes().Metrics; reg != nil {
+		c.reg = reg
+		c.mDrops = reg.Counter("h2privacy_adversary_drops_total",
+			"Packets dropped by the adversary's targeted-drop window.")
+		c.mDelayed = reg.Counter("h2privacy_adversary_delayed_gets_total",
+			"GET requests delayed by the per-request jitter schedule.")
+		c.mJittered = reg.Counter("h2privacy_adversary_jittered_packets_total",
+			"Packets given netem-style random jitter.")
+		c.mThrottle = reg.Counter("h2privacy_adversary_throttle_events_total",
+			"Bandwidth-limit changes applied to the path.")
 	}
 	path.AddProcessor(c)
 	return c
@@ -93,35 +116,6 @@ var _ netsim.Processor = (*Controller)(nil)
 
 // Stats returns a copy of the intervention counters.
 func (c *Controller) Stats() ControllerStats { return c.stats }
-
-// SetTracer arms adversary-layer tracing: knob changes, per-GET delays and
-// drop decisions are emitted as events.
-func (c *Controller) SetTracer(tr *trace.Tracer) {
-	c.tr = tr
-	c.ctDrops = tr.Counter(trace.LayerAdversary, "dropped")
-	c.ctDelayed = tr.Counter(trace.LayerAdversary, "delayed-gets")
-	c.ctJittered = tr.Counter(trace.LayerAdversary, "jittered")
-}
-
-// Tracer returns the armed tracer (nil when tracing is off); the attack
-// driver emits its phase transitions through it.
-func (c *Controller) Tracer() *trace.Tracer { return c.tr }
-
-// SetMetrics arms first-class adversary metrics: every intervention the
-// controller makes (drops, delayed GETs, jittered packets, throttle
-// changes) increments a registry counter as it happens, so a live
-// /metrics scrape shows the attack's footprint mid-trial. A nil registry
-// leaves the nil no-op instruments in place.
-func (c *Controller) SetMetrics(reg *obs.Registry) {
-	c.mDrops = reg.Counter("h2privacy_adversary_drops_total",
-		"Packets dropped by the adversary's targeted-drop window.")
-	c.mDelayed = reg.Counter("h2privacy_adversary_delayed_gets_total",
-		"GET requests delayed by the per-request jitter schedule.")
-	c.mJittered = reg.Counter("h2privacy_adversary_jittered_packets_total",
-		"Packets given netem-style random jitter.")
-	c.mThrottle = reg.Counter("h2privacy_adversary_throttle_events_total",
-		"Bandwidth-limit changes applied to the path.")
-}
 
 // SetRequestSpacing sets the targeted jitter d (§IV-B). Setting it resets
 // the request counter (the attack driver restarts the schedule per phase);

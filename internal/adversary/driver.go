@@ -314,6 +314,13 @@ func NewDriver(sched *simtime.Scheduler, controller *Controller, monitor *captur
 		return nil, err
 	}
 	d := &Driver{sched: sched, controller: controller, monitor: monitor, plan: plan, outcome: OutcomePending}
+	if reg := controller.reg; reg != nil {
+		// Live phase metrics: a gauge holding the current phase number
+		// and a per-phase transition counter, updated at every transition.
+		d.mPhase = reg.Gauge("h2privacy_adversary_phase", phaseGaugeHelp)
+		d.mTransitions = reg.CounterVec("h2privacy_adversary_phase_transitions_total",
+			"Attack phase transitions.", "phase")
+	}
 	d.transition(PhaseIdle)
 	controller.SetRequestSpacing(plan.Phase1Jitter)
 	controller.SetRandomJitter(netsim.ClientToServer, plan.Phase1RandomJitter)
@@ -373,23 +380,6 @@ func (d *Driver) FinalOutcome(broken bool) Outcome {
 	return d.outcome
 }
 
-// SetMetrics arms live phase metrics: a gauge holding the current phase
-// number and a per-phase transition counter, updated at every transition.
-// The driver transitions into PhaseIdle during construction, before a
-// registry can be attached, so arming also stamps the current state.
-func (d *Driver) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	d.mPhase = reg.Gauge("h2privacy_adversary_phase", phaseGaugeHelp)
-	d.mTransitions = reg.CounterVec("h2privacy_adversary_phase_transitions_total",
-		"Attack phase transitions.", "phase")
-	d.mPhase.Set(float64(d.phase))
-	for _, pc := range d.PhaseLog {
-		d.mTransitions.With(pc.Phase.String()).Inc()
-	}
-}
-
 // PhaseSpan is one completed attack phase with its virtual-time duration.
 type PhaseSpan struct {
 	Phase    Phase
@@ -420,7 +410,7 @@ func (d *Driver) transition(p Phase) {
 	d.PhaseLog = append(d.PhaseLog, PhaseChange{Time: d.sched.Now(), Phase: p})
 	d.mPhase.Set(float64(p))
 	d.mTransitions.With(p.String()).Inc()
-	if tr := d.controller.Tracer(); tr.Enabled() {
+	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "phase", trace.Str("to", p.String()))
 	}
 }
@@ -474,7 +464,7 @@ func (d *Driver) openDropWindow() {
 	} else {
 		d.controller.DropServerData(rate, rtx, window)
 	}
-	if tr := d.controller.Tracer(); tr.Enabled() {
+	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "drop-attempt",
 			trace.Num("attempt", int64(d.attempts)), trace.Dur("window", window))
 	}
@@ -520,7 +510,7 @@ func (d *Driver) heartbeat(gen int) {
 			} else {
 				d.controller.DropServerData(d.curRate, d.curRtx, d.dropStart+d.dropWindow-now)
 			}
-			if tr := d.controller.Tracer(); tr.Enabled() {
+			if tr := d.controller.tr; tr.Enabled() {
 				tr.Emit(trace.LayerAdversary, "drop-rearm",
 					trace.Dur("remaining", d.dropStart+d.dropWindow-now))
 			}
@@ -566,7 +556,7 @@ func (d *Driver) onControl(count int, ev capture.RecordEvent) {
 	} else {
 		d.outcome = OutcomeCleanSlate
 	}
-	if tr := d.controller.Tracer(); tr.Enabled() {
+	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "reset-detected",
 			trace.Num("attempt", int64(d.attempts)), trace.Dur("at", ev.Time))
 	}
@@ -609,7 +599,7 @@ func (d *Driver) degrade(reason string) {
 	d.controller.SetRequestSpacing(0)
 	d.controller.SetRandomJitter(netsim.ClientToServer, 0)
 	d.controller.SetRandomJitter(netsim.ServerToClient, 0)
-	if tr := d.controller.Tracer(); tr.Enabled() {
+	if tr := d.controller.tr; tr.Enabled() {
 		tr.Emit(trace.LayerAdversary, "degrade", trace.Str("reason", reason))
 	}
 	d.transition(PhaseDegraded)

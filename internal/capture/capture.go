@@ -15,6 +15,7 @@ import (
 	"h2privacy/internal/check"
 	"h2privacy/internal/flowseq"
 	"h2privacy/internal/netsim"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/tlsrec"
 	"h2privacy/internal/trace"
@@ -167,26 +168,18 @@ func (m *Monitor) OnControl(fn func(count int, ev RecordEvent)) { m.onControl = 
 // and the attack should degrade to passive observation.
 func (m *Monitor) OnTeardown(fn func(now time.Duration, dir netsim.Direction)) { m.onTeardown = fn }
 
-// SetTracer arms monitor-layer tracing: each GET-classified record becomes
-// a trace event.
-func (m *Monitor) SetTracer(tr *trace.Tracer) {
-	m.tr = tr
-	m.ctGET = tr.Counter(trace.LayerMonitor, "gets")
-}
-
-// SetFlows arms the flowseq record feed: every parsed record streams into
-// the analyzer's wire-side burst tables and clean-slate span detector as
-// it is observed. Nil (the default) keeps the tap feature-free at zero
-// cost.
-func (m *Monitor) SetFlows(fl *flowseq.Analyzer) { m.fl = fl }
-
-// SetChecker arms reassembly invariant checks on both direction streams:
-// taint arrays stay parallel to the byte buffer, the reassembled stream has
-// no gaps, and parsed records exactly partition the appended bytes.
-func (m *Monitor) SetChecker(ck *check.Checker) {
-	m.streams[netsim.ClientToServer].ck = ck
+// SetProbes arms the flow's probes on the monitor: Trace receives each
+// GET-classified record; Flows receives every parsed record (wire-side
+// burst tables and the clean-slate span detector); Check verifies both
+// direction streams' reassembly — taint arrays stay parallel to the byte
+// buffer, the reassembled stream has no gaps, and parsed records exactly
+// partition the appended bytes. The zero set keeps the tap free.
+func (m *Monitor) SetProbes(p probe.Set) {
+	m.tr, m.fl = p.Trace, p.Flows
+	m.ctGET = p.Trace.Counter(trace.LayerMonitor, "gets")
+	m.streams[netsim.ClientToServer].ck = p.Check
 	m.streams[netsim.ClientToServer].ckDir = check.DirC2S
-	m.streams[netsim.ServerToClient].ck = ck
+	m.streams[netsim.ServerToClient].ck = p.Check
 	m.streams[netsim.ServerToClient].ckDir = check.DirS2C
 }
 

@@ -1,10 +1,9 @@
 // Package check is the runtime invariant subsystem for the simulation
-// stack. A *Checker is armed per trial and threaded through the same
-// configuration points as the tracer (tcpsim.Config, h2.Config,
-// netsim.PathConfig, core.TrialConfig, ...). Each layer calls cheap hook
-// methods with scalar arguments; the checker shadows the protocol state
-// independently and records a Violation whenever the real implementation
-// and the shadow disagree.
+// stack. A *Checker is armed per trial (core.TrialConfig.Check) and reaches
+// every layer of a flow in the flow's probe set (internal/probe), next to
+// the tracer. Each layer calls cheap hook methods with scalar arguments;
+// the checker shadows the protocol state independently and records a
+// Violation whenever the real implementation and the shadow disagree.
 //
 // Like internal/trace, a nil *Checker is the disabled subsystem: every
 // hook is nil-receiver safe, costs one pointer comparison, and allocates
@@ -53,7 +52,24 @@ const maxPerTrial = 32
 
 // Checker is a per-trial invariant checker. The zero value is not usable;
 // construct with New. A nil *Checker is the disabled subsystem.
+//
+// A fleet trial carries many client–server flows, each with its own TCP,
+// HTTP/2, HPACK and capture state: Flow returns a per-flow scope that
+// shadows those separately (so every flow's "client" and "server" stay
+// apart) while sharing the trial's violation tally, recorder, clock, link
+// and bottleneck conservation shadows and interference-budget shadow.
 type Checker struct {
+	*trialState
+	flow string // "" for the trial's own checker
+
+	tcp   map[string]*tcpShadow
+	h2    map[string]*h2Shadow
+	hpack [2][]int // FIFO of encoder table sizes, indexed by sender role (0=client,1=server)
+	caps  [2]capShadow
+}
+
+// trialState is what every flow scope of one trial shares.
+type trialState struct {
 	seed  int64
 	trial int
 	rec   *Recorder
@@ -63,12 +79,7 @@ type Checker struct {
 	total      int
 	violations []Violation
 
-	tcp   map[string]*tcpShadow
-	h2    map[string]*h2Shadow
-	hpack [2][]int // FIFO of encoder table sizes, indexed by sender role (0=client,1=server)
-
 	links [2]linkShadow
-	caps  [2]capShadow
 	aggs  [2]aggShadow
 
 	// Adversary interference-budget shadow: which fleet flows currently
@@ -155,13 +166,27 @@ type capShadow struct {
 // for single runs). rec may be nil; Finalize then only returns the count
 // and violations stay retrievable via Violations.
 func New(seed int64, trial int, rec *Recorder) *Checker {
+	return newScope(&trialState{seed: seed, trial: trial, rec: rec}, "")
+}
+
+func newScope(t *trialState, flow string) *Checker {
 	return &Checker{
-		seed:  seed,
-		trial: trial,
-		rec:   rec,
-		tcp:   make(map[string]*tcpShadow),
-		h2:    make(map[string]*h2Shadow),
+		trialState: t,
+		flow:       flow,
+		tcp:        make(map[string]*tcpShadow),
+		h2:         make(map[string]*h2Shadow),
 	}
+}
+
+// Flow returns a scope of the trial's checker for one more flow of the
+// same trial, named flow in its violations. The scope starts with empty
+// TCP, HTTP/2, HPACK and capture shadows and shares everything else with
+// c; Finalize on any scope settles the whole trial. Nil returns nil.
+func (c *Checker) Flow(flow string) *Checker {
+	if c == nil {
+		return nil
+	}
+	return newScope(c.trialState, flow)
 }
 
 // Enabled reports whether the checker is armed. Safe on nil.
@@ -219,6 +244,7 @@ func (c *Checker) violate(layer, rule, format string, args ...any) {
 		At:         c.now(),
 		TrialSeed:  c.seed,
 		TrialIndex: c.trial,
+		Flow:       c.flow,
 	})
 }
 

@@ -18,11 +18,16 @@ type Violation struct {
 	At         time.Duration // virtual (or wall) time when the rule fired
 	TrialSeed  int64         // the trial's seed as derived by the sweep's seedFor
 	TrialIndex int           // flat trial index within the sweep (0 for single runs)
+	Flow       string        // fleet flow of a per-flow scope (Checker.Flow); "" for the trial's own checker
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("trial %d (seed %d) at %v: %s/%s: %s",
-		v.TrialIndex, v.TrialSeed, v.At, v.Layer, v.Rule, v.Detail)
+	flow := ""
+	if v.Flow != "" {
+		flow = " flow " + v.Flow
+	}
+	return fmt.Sprintf("trial %d (seed %d)%s at %v: %s/%s: %s",
+		v.TrialIndex, v.TrialSeed, flow, v.At, v.Layer, v.Rule, v.Detail)
 }
 
 // maxRetained caps the violations a Recorder keeps with full detail;

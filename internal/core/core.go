@@ -22,6 +22,7 @@ import (
 	"h2privacy/internal/perf"
 	"h2privacy/internal/pool"
 	"h2privacy/internal/predict"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/trace"
@@ -98,13 +99,17 @@ type TrialConfig struct {
 	Predict predict.Config
 	// Duration bounds the simulated time. Default 120 s.
 	Duration time.Duration
-	// Trace, when non-nil, is threaded through every layer of the testbed:
+	// Trace, Check, Flows and Metrics form the target flow's probe set
+	// (internal/probe), which reaches every layer of the flow through its
+	// path. A fleet trial's decoys get their own sets (see FleetConfig).
+	//
+	// Trace, when non-nil, receives events, counters and histograms from
 	// netsim links, both TCP endpoints, both HTTP/2 connections, the
-	// browser, the server, the monitor and the adversary all emit events,
-	// counters and histograms into it. Nil disables tracing at zero cost.
+	// browser, the server, the monitor and the adversary. Nil disables
+	// tracing at zero cost.
 	Trace *trace.Tracer
 	// Check, when non-nil, arms runtime invariant checking across every
-	// layer of the testbed: TCP sequence-space conservation, HTTP/2 stream
+	// layer of every flow: TCP sequence-space conservation, HTTP/2 stream
 	// legality and flow-control accounting, HPACK table sync, link packet
 	// conservation, scheduler clock monotonicity and monitor reassembly
 	// partitioning. Violations accumulate in the checker and flush into its
@@ -188,12 +193,23 @@ type Testbed struct {
 	Controller *adversary.Controller
 	Driver     *adversary.Driver
 	Injector   *netsim.Injector
-	Tracer     *trace.Tracer
 	cfg        TrialConfig
+}
+
+// probes returns the trial-level hooks as the target flow's probe set.
+func (cfg *TrialConfig) probes() probe.Set {
+	return probe.Set{Trace: cfg.Trace, Check: cfg.Check, Flows: cfg.Flows, Metrics: cfg.Metrics}
 }
 
 // NewTestbed assembles all components for a trial without starting it.
 func NewTestbed(cfg TrialConfig) (*Testbed, error) {
+	return newTestbed(cfg, cfg.probes())
+}
+
+// newTestbed assembles the target flow with the given probe set — the
+// trial's own hooks, except that a fleet trial with features off hands in
+// a private analyzer for target selection.
+func newTestbed(cfg TrialConfig, probes probe.Set) (*Testbed, error) {
 	if cfg.Link.BandwidthBps == 0 {
 		cfg.Link = DefaultLink()
 	}
@@ -218,68 +234,28 @@ func NewTestbed(cfg TrialConfig) (*Testbed, error) {
 		sched.SetInterrupt(func() bool { return ctx.Err() != nil })
 	}
 	rng := simtime.NewRand(cfg.Seed)
-	tb := &Testbed{Sched: sched, Site: website.ISideWith(), Tracer: cfg.Trace, cfg: cfg}
-	if cfg.Trace.Enabled() {
-		// The tracer was built before the trial's clock existed; stamp its
-		// events from this trial's virtual time.
-		cfg.Trace.SetClock(sched)
-		// Fan the tracer out to every config-carried layer; components
-		// that predate the config fields get it via SetTracer below.
-		cfg.TCP.Tracer = cfg.Trace
-		cfg.Server.Tracer = cfg.Trace
-		cfg.Server.H2.Tracer = cfg.Trace
-		cfg.Browser.Tracer = cfg.Trace
-		cfg.Browser.H2.Tracer = cfg.Trace
+	tb := &Testbed{Sched: sched, Site: website.ISideWith(), cfg: cfg}
+	// The hooks were built before the trial's clock existed: stamp them
+	// from this trial's virtual time, and tag the trace and the feature
+	// rows with the flow ID the pcap export carries, so all three views of
+	// one connection join on it.
+	if probes.Trace.Enabled() {
+		probes.Trace.SetClock(sched)
+		probes.Trace.SetMeta("flow", capture.FlowID())
 	}
-	if cfg.Check.Enabled() {
-		// Same fan-out as the tracer: clock from this trial's scheduler,
-		// then every config-carried layer; SetChecker below covers the rest.
-		cfg.Check.SetClock(sched.Now)
-		sched.SetStepHook(cfg.Check.SchedulerStep)
-		cfg.TCP.Check = cfg.Check
-		cfg.Server.H2.Check = cfg.Check
-		cfg.Browser.H2.Check = cfg.Check
+	if probes.Check.Enabled() {
+		probes.Check.SetClock(sched.Now)
+		sched.SetStepHook(probes.Check.SchedulerStep)
 	}
-	if cfg.Flows.Enabled() {
-		// Clock from this trial's scheduler, flow ID from the synthesized
-		// pcap 5-tuple (the shared join key with the exported capture and
-		// Chrome-trace metadata). Only the browser's connection feeds frames
-		// — wiring both endpoints would double-count every frame.
-		cfg.Flows.SetClock(sched)
-		cfg.Flows.SetFlow(capture.FlowID())
-		cfg.Browser.H2.Flows = cfg.Flows
-		cfg.Browser.Flows = cfg.Flows
-	}
-	if cfg.Trace.Enabled() {
-		// Stamp the trace with the same flow identifier the pcap export and
-		// the flowseq feature rows carry, so all three views of one
-		// connection join on it.
-		cfg.Trace.SetMeta("flow", capture.FlowID())
+	if probes.Flows.Enabled() {
+		probes.Flows.SetClock(sched)
+		probes.Flows.SetFlow(capture.FlowID())
 	}
 
 	var err error
-	tb.Path, err = netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: cfg.Link, Tracer: cfg.Trace, Check: cfg.Check})
+	tb.Path, tb.Monitor, tb.Controller, err = newFlowNet(sched, rng, cfg.Link, probes)
 	if err != nil {
-		return nil, fmt.Errorf("core: path: %w", err)
-	}
-	// The monitor taps the path; the controller installs its processor.
-	// Taps observe at middlebox ingress, before the adversary's own
-	// delays, so the adversary never confuses itself.
-	tb.Monitor = capture.NewMonitor()
-	tb.Path.AddTap(tb.Monitor)
-	tb.Controller = adversary.NewController(sched, rng.Fork(), tb.Path)
-	if cfg.Trace.Enabled() {
-		tb.Monitor.SetTracer(cfg.Trace)
-		tb.Controller.SetTracer(cfg.Trace)
-	}
-	if cfg.Check.Enabled() {
-		tb.Monitor.SetChecker(cfg.Check)
-	}
-	if cfg.Flows.Enabled() {
-		tb.Monitor.SetFlows(cfg.Flows)
-	}
-	if cfg.Metrics != nil {
-		tb.Controller.SetMetrics(cfg.Metrics)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if cfg.CrossTrafficBps > 0 {
 		ct := netsim.NewCrossTraffic(sched, rng.Fork(), tb.Path, cfg.CrossTrafficBps, 0)
@@ -310,22 +286,15 @@ func NewTestbed(cfg TrialConfig) (*Testbed, error) {
 		cfg.Server.PushEmblems = true
 		cfg.Browser.AcceptPush = true
 	}
-	tb.Server, err = endpoint.NewServer(sched, rng.Fork(), tb.Pair.Server, tb.Site, cfg.Server)
+	tb.Server, tb.Browser, err = newFlowEnds(sched, rng, tb.Pair, tb.Site, tb.Plan, cfg.Server, cfg.Browser)
 	if err != nil {
-		return nil, fmt.Errorf("core: server: %w", err)
-	}
-	tb.Browser, err = endpoint.NewBrowser(sched, rng.Fork(), tb.Pair.Client, tb.Site, tb.Plan, cfg.Browser)
-	if err != nil {
-		return nil, fmt.Errorf("core: browser: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	if cfg.Attack != nil {
 		tb.Driver, err = adversary.NewDriver(sched, tb.Controller, tb.Monitor, *cfg.Attack)
 		if err != nil {
 			return nil, fmt.Errorf("core: attack plan: %w", err)
-		}
-		if cfg.Metrics != nil {
-			tb.Driver.SetMetrics(cfg.Metrics)
 		}
 	} else {
 		// Single-knob studies.
@@ -356,12 +325,6 @@ func NewTestbed(cfg TrialConfig) (*Testbed, error) {
 		}
 		inj := netsim.NewInjector(sched, rng.Fork(), tb.Path)
 		inj.SetWiper(tb.Controller)
-		if cfg.Trace.Enabled() {
-			inj.SetTracer(cfg.Trace)
-		}
-		if cfg.Metrics != nil {
-			inj.SetMetrics(cfg.Metrics)
-		}
 		sc.Arm(inj)
 		tb.Injector = inj
 	}
@@ -371,6 +334,36 @@ func NewTestbed(cfg TrialConfig) (*Testbed, error) {
 		armChaosHang(sched)
 	}
 	return tb, nil
+}
+
+// newFlowNet builds one flow's network half: the path carrying the flow's
+// probes, the gateway monitor tapping it and the adversary's controller
+// on it. Taps observe at middlebox ingress, before the adversary's own
+// delays, so the adversary never confuses itself. It forks rng for the
+// path, then the controller — the order every fleet flow mirrors.
+func newFlowNet(sched *simtime.Scheduler, rng *simtime.Rand, link netsim.LinkConfig, probes probe.Set) (*netsim.Path, *capture.Monitor, *adversary.Controller, error) {
+	path, err := netsim.NewPath(sched, rng.Fork(), netsim.PathConfig{Link: link, Probes: probes})
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("path: %w", err)
+	}
+	mon := capture.NewMonitor()
+	mon.SetProbes(probes)
+	path.AddTap(mon)
+	return path, mon, adversary.NewController(sched, rng.Fork(), path), nil
+}
+
+// newFlowEnds builds one flow's server and browser over its TCP pair,
+// forking rng for each in that order.
+func newFlowEnds(sched *simtime.Scheduler, rng *simtime.Rand, pair *tcpsim.Pair, site *website.Site, plan *website.Plan, scfg endpoint.ServerConfig, bcfg endpoint.BrowserConfig) (*endpoint.Server, *endpoint.Browser, error) {
+	srv, err := endpoint.NewServer(sched, rng.Fork(), pair.Server, site, scfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: %w", err)
+	}
+	brw, err := endpoint.NewBrowser(sched, rng.Fork(), pair.Client, site, plan, bcfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("browser: %w", err)
+	}
+	return srv, brw, nil
 }
 
 // Run starts both endpoints and executes the trial to quiescence or the
@@ -562,8 +555,8 @@ func (tb *Testbed) collectCapture() *TrialResult {
 		res.FinalPhase = tb.Driver.Phase()
 		res.Outcome = tb.Driver.FinalOutcome(res.Broken)
 		res.AttackAttempts = tb.Driver.Attempts()
-		if tb.Tracer.Enabled() {
-			tb.Tracer.Emit(trace.LayerAdversary, "outcome",
+		if tr := tb.cfg.Trace; tr.Enabled() {
+			tr.Emit(trace.LayerAdversary, "outcome",
 				trace.Str("outcome", res.Outcome.String()),
 				trace.Num("attempts", int64(res.AttackAttempts)))
 		}

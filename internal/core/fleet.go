@@ -12,6 +12,7 @@ import (
 	"h2privacy/internal/flowseq"
 	"h2privacy/internal/netsim"
 	"h2privacy/internal/perf"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/tcpsim"
 	"h2privacy/internal/website"
@@ -216,7 +217,7 @@ type decoyFlow struct {
 	monitor *capture.Monitor
 	ctrl    *adversary.Controller
 	browser *endpoint.Browser
-	flows   *flowseq.Analyzer
+	probes  probe.Set
 	id      string
 }
 
@@ -262,8 +263,17 @@ func runFleetTrial(cfg TrialConfig) (*TrialResult, error) {
 		tcfg.ThrottleBps = 0
 		tcfg.DropRate = 0
 	}
+	// Per-flow capture-visible features for target selection. The armed
+	// analyzer (and its siblings) also lands every flow's rows in the
+	// sweep collector; with features off, private analyzers feed the
+	// selector only — they draw no RNG and schedule no events, so arming
+	// features never changes selection or results.
+	probes := cfg.probes()
+	if probes.Flows == nil {
+		probes.Flows = flowseq.New(0, nil)
+	}
 	sp := cfg.Perf.Start(perf.StageBuild)
-	tb, err := NewTestbed(tcfg)
+	tb, err := newTestbed(tcfg, probes)
 	if err != nil {
 		sp.Stop()
 		return nil, err
@@ -277,34 +287,21 @@ func runFleetTrial(cfg TrialConfig) (*TrialResult, error) {
 	}
 	bn.Attach(tb.Path)
 
-	// Per-flow capture-visible features for target selection. The armed
-	// analyzer (and its siblings) also lands every flow's rows in the
-	// sweep collector; with features off, private analyzers feed the
-	// selector only — they draw no RNG and schedule no events, so arming
-	// features never changes selection or results.
 	flows := make([]*flowseq.Analyzer, fc.N)
-	if cfg.Flows.Enabled() {
-		flows[0] = cfg.Flows
-	} else {
-		flows[0] = flowseq.New(0, nil)
-		flows[0].SetClock(sched)
-		flows[0].SetFlow(capture.FlowID())
-		tb.Monitor.SetFlows(flows[0])
-	}
-
+	flows[0] = probes.Flows
 	ctrls := make([]*adversary.Controller, fc.N)
 	mons := make([]*capture.Monitor, fc.N)
 	ctrls[0], mons[0] = tb.Controller, tb.Monitor
 
 	decoys := make([]*decoyFlow, 0, fc.N-1)
 	for i := 1; i < fc.N; i++ {
-		d, derr := buildDecoy(sched, cfg, link, i, fc.Stagger, flows[0])
+		d, derr := buildDecoy(sched, cfg, link, i, fc.Stagger, probes)
 		if derr != nil {
 			sp.Stop()
 			return nil, derr
 		}
 		bn.Attach(d.path)
-		flows[i], ctrls[i], mons[i] = d.flows, d.ctrl, d.monitor
+		flows[i], ctrls[i], mons[i] = d.probes.Flows, d.ctrl, d.monitor
 		decoys = append(decoys, d)
 	}
 
@@ -347,9 +344,6 @@ func runFleetTrial(cfg TrialConfig) (*TrialResult, error) {
 						continue
 					}
 					drv.SetOnRelease(func() { budget.Release(fi) })
-					if cfg.Metrics != nil {
-						drv.SetMetrics(cfg.Metrics)
-					}
 					drivers[fi] = drv
 					if fi == 0 {
 						tb.Driver = drv
@@ -386,7 +380,7 @@ func runFleetTrial(cfg TrialConfig) (*TrialResult, error) {
 	res := tb.collectCapture()
 	if cfg.Flows.Enabled() {
 		for _, d := range decoys {
-			d.flows.Finalize()
+			d.probes.Flows.Finalize()
 		}
 	}
 
@@ -474,33 +468,23 @@ func addStats(sum *netsim.LinkStats, st netsim.LinkStats) {
 	sum.BytesDelivered += st.BytesDelivered
 }
 
-// buildDecoy assembles decoy flow i against the shared scheduler: its own
-// path (attached to the bottleneck by the caller), monitor, controller,
-// TCP pair, generated decoy site and a full page-load browser — a real
-// competing flow, not a traffic knob. Everything draws from the decoy's
-// own root RNG (mixSeed), mirroring the standalone assembly's fork order.
-func buildDecoy(sched *simtime.Scheduler, cfg TrialConfig, link netsim.LinkConfig, i int, stagger time.Duration, armed *flowseq.Analyzer) (*decoyFlow, error) {
+// buildDecoy assembles decoy flow i against the shared scheduler with the
+// target's assembly: its own path (attached to the bottleneck by the
+// caller), monitor, controller, TCP pair, generated decoy site and a full
+// page-load browser — a real competing flow, not a traffic knob.
+// Everything draws from the decoy's own root RNG (mixSeed) in the
+// standalone fork order. Decoys are checked and analyzed like the target
+// but never traced: each gets its own scope of the trial's checker and a
+// sibling of the target's analyzer (same trial index and collector).
+func buildDecoy(sched *simtime.Scheduler, cfg TrialConfig, link netsim.LinkConfig, i int, stagger time.Duration, target probe.Set) (*decoyFlow, error) {
 	root := simtime.NewRand(mixSeed(cfg.Seed, i))
-	path, err := netsim.NewPath(sched, root.Fork(), netsim.PathConfig{Link: link, Check: cfg.Check})
-	if err != nil {
-		return nil, fmt.Errorf("core: fleet decoy %d path: %w", i, err)
-	}
-	mon := capture.NewMonitor()
-	path.AddTap(mon)
-	ctrl := adversary.NewController(sched, root.Fork(), path)
-	if cfg.Metrics != nil {
-		ctrl.SetMetrics(cfg.Metrics)
-	}
-
-	// A sibling of flow 0's analyzer: same trial index, same collector
-	// (nil when features are off — the selector still gets its feed).
 	id := capture.FleetFlowID(i)
-	an := armed.Sibling(id)
-	mon.SetFlows(an)
-
+	probes := probe.Set{Check: target.Check.Flow(id), Flows: target.Flows.Sibling(id), Metrics: target.Metrics}
+	path, mon, ctrl, err := newFlowNet(sched, root, link, probes)
+	if err != nil {
+		return nil, fmt.Errorf("core: fleet decoy %d %w", i, err)
+	}
 	tcp := cfg.TCP
-	tcp.Tracer = nil
-	tcp.Check = nil
 	if cfg.Pool != nil {
 		tcp.Pool = cfg.Pool
 	}
@@ -508,37 +492,22 @@ func buildDecoy(sched *simtime.Scheduler, cfg TrialConfig, link netsim.LinkConfi
 	if err != nil {
 		return nil, fmt.Errorf("core: fleet decoy %d tcp: %w", i, err)
 	}
-
 	site := website.DecoySite(i)
 	plan, err := site.SequentialPlan()
 	if err != nil {
 		return nil, fmt.Errorf("core: fleet decoy %d plan: %w", i, err)
 	}
-	scfg := cfg.Server
-	scfg.Tracer = nil
-	scfg.H2.Tracer = nil
-	scfg.H2.Check = nil
-	scfg.PushEmblems = false
-	srv, err := endpoint.NewServer(sched, root.Fork(), pair.Server, site, scfg)
+	scfg, bcfg := cfg.Server, cfg.Browser
+	scfg.PushEmblems, bcfg.AcceptPush = false, false
+	srv, brw, err := newFlowEnds(sched, root, pair, site, plan, scfg, bcfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: fleet decoy %d server: %w", i, err)
-	}
-	bcfg := cfg.Browser
-	bcfg.Tracer = nil
-	bcfg.H2.Tracer = nil
-	bcfg.H2.Check = nil
-	bcfg.AcceptPush = false
-	bcfg.H2.Flows = an
-	bcfg.Flows = an
-	brw, err := endpoint.NewBrowser(sched, root.Fork(), pair.Client, site, plan, bcfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: fleet decoy %d browser: %w", i, err)
+		return nil, fmt.Errorf("core: fleet decoy %d %w", i, err)
 	}
 	sched.At(time.Duration(i)*stagger, func() {
 		srv.Start()
 		brw.Start()
 	})
-	return &decoyFlow{path: path, monitor: mon, ctrl: ctrl, browser: brw, flows: an, id: id}, nil
+	return &decoyFlow{path: path, monitor: mon, ctrl: ctrl, browser: brw, probes: probes, id: id}, nil
 }
 
 // applyKnobs arms the single-parameter interference knobs on one

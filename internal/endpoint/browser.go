@@ -50,13 +50,6 @@ type BrowserConfig struct {
 	// H2 tunes the client HTTP/2 endpoint. InitialWindowSize defaults to
 	// 1 MiB here (browser-like), not the RFC 65535.
 	H2 h2.Config
-	// Tracer, when non-nil, arms browser-layer tracing (requests, resets,
-	// completions).
-	Tracer *trace.Tracer
-	// Flows, when non-nil, receives request/object-done annotations so the
-	// flowseq analyzer can label per-stream features with object IDs and
-	// request kinds. Set H2.Flows on the same config to feed it frames.
-	Flows *flowseq.Analyzer
 }
 
 func (c BrowserConfig) withDefaults() BrowserConfig {
@@ -182,7 +175,10 @@ type Browser struct {
 	fl *flowseq.Analyzer
 }
 
-// NewBrowser builds the browser endpoint over its TCP connection.
+// NewBrowser builds the browser endpoint over its TCP connection. The
+// connection's probes instrument it: Trace receives requests, resets and
+// completions, and Flows labels per-stream features with object IDs and
+// request kinds (the browser's HTTP/2 connection feeds Flows its frames).
 func NewBrowser(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, site *website.Site, plan *website.Plan, cfg BrowserConfig) (*Browser, error) {
 	if site == nil || plan == nil {
 		return nil, fmt.Errorf("endpoint: NewBrowser requires a site and plan")
@@ -199,8 +195,7 @@ func NewBrowser(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, s
 	}
 	b.resetWait = b.cfg.ResetTimeout
 	b.retryWait = b.cfg.RetryTimeout
-	b.tr = b.cfg.Tracer
-	b.fl = b.cfg.Flows
+	b.tr, b.fl = tcp.Probes().Trace, tcp.Probes().Flows
 	st, err := newStack(tcp, true, rng, b.cfg.H2, func(err error) { b.break_(err.Error()) })
 	if err != nil {
 		return nil, err

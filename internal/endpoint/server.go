@@ -53,8 +53,6 @@ type ServerConfig struct {
 	SendBufLimit int
 	// H2 tunes the server's HTTP/2 endpoint.
 	H2 h2.Config
-	// Tracer, when non-nil, arms server-layer tracing (task lifecycle).
-	Tracer *trace.Tracer
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -121,7 +119,8 @@ type Server struct {
 	tr *trace.Tracer
 }
 
-// NewServer builds the server endpoint over its TCP connection.
+// NewServer builds the server endpoint over its TCP connection. The
+// connection's probes instrument it: Trace receives the task lifecycle.
 func NewServer(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, site *website.Site, cfg ServerConfig) (*Server, error) {
 	if site == nil {
 		return nil, fmt.Errorf("endpoint: NewServer requires a site")
@@ -136,7 +135,7 @@ func NewServer(sched *simtime.Scheduler, rng *simtime.Rand, tcp *tcpsim.Conn, si
 		instances: make(map[string]int),
 		rendered:  make(map[string]bool),
 	}
-	srv.tr = srv.cfg.Tracer
+	srv.tr = tcp.Probes().Trace
 	st, err := newStack(tcp, false, rng, srv.cfg.H2, func(err error) {
 		if srv.fatalErr == nil {
 			srv.fatalErr = err

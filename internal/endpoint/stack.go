@@ -42,6 +42,9 @@ type stack struct {
 
 // newStack wires the three layers. isClient selects TLS/h2 roles; rng
 // seeds the TLS handshake randomness; h2cfg tunes the HTTP/2 endpoint.
+// The h2 endpoint takes the flow's probes from the TCP connection; only
+// the client side feeds the flow analyzer, because feeding both halves of
+// one flow would count every frame twice.
 func newStack(tcp *tcpsim.Conn, isClient bool, rng *simtime.Rand, h2cfg h2.Config, onFatal func(error)) (*stack, error) {
 	s := &stack{tcp: tcp, onFatal: onFatal}
 	var random [32]byte
@@ -53,8 +56,12 @@ func newStack(tcp *tcpsim.Conn, isClient bool, rng *simtime.Rand, h2cfg h2.Confi
 			s.fatal(err)
 		}
 	})
+	probes := tcp.Probes()
+	if !isClient {
+		probes.Flows = nil
+	}
 	var err error
-	s.h2c, err = h2.NewConn(isClient, h2cfg, func(b []byte) {
+	s.h2c, err = h2.NewConn(isClient, h2cfg, probes, func(b []byte) {
 		if s.tapH2Out != nil {
 			s.tapH2Out(b)
 		}

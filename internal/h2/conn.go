@@ -6,6 +6,7 @@ import (
 	"h2privacy/internal/check"
 	"h2privacy/internal/flowseq"
 	"h2privacy/internal/hpack"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/trace"
 )
 
@@ -36,23 +37,9 @@ type Config struct {
 	PadData func(n int) int
 	// HuffmanHeaders Huffman-codes outgoing HPACK string literals.
 	HuffmanHeaders bool
-	// Tracer, when non-nil, arms per-frame tracing (send/recv with type,
-	// stream and length; flow-control stalls).
-	Tracer *trace.Tracer
-	// TraceName tags this endpoint's trace events. Defaults to "client" or
-	// "server" by role.
-	TraceName string
-	// Check, when non-nil, arms the HTTP/2 and HPACK invariant checkers
-	// (see internal/check): stream-state legality, flow-control window
-	// shadows, and dynamic-table size agreement. The endpoint name follows
-	// TraceName's defaulting.
-	Check *check.Checker
-	// Flows, when non-nil, feeds every frame sent and received to the
-	// flowseq event-sequence analyzer (per-stream timelines, burst and
-	// interleaving features). Wire exactly one endpoint per flow — the
-	// testbed wires the browser's connection, h2serve the server's —
-	// because the analyzer resolves direction from this endpoint's role.
-	Flows *flowseq.Analyzer
+	// Name tags this endpoint's trace events and check shadows. Defaults
+	// to "client" or "server" by role.
+	Name string
 }
 
 func (c Config) withDefaults() Config {
@@ -171,21 +158,24 @@ type Conn struct {
 	wbuf         []byte
 	hencBuf      []byte
 
-	tr        *trace.Tracer
-	traceName string
-	ctStall   *trace.Counter
-
-	ck     *check.Checker // nil unless invariant checks are armed
-	ckName string
-
-	fl *flowseq.Analyzer // nil unless flow-sequence analytics are armed
+	name    string // Config.Name, defaulted by role
+	tr      *trace.Tracer
+	ctStall *trace.Counter
+	ck      *check.Checker    // nil unless invariant checks are armed
+	fl      *flowseq.Analyzer // nil unless flow-sequence analytics are armed
 }
 
-// NewConn builds an endpoint. out transmits wire bytes (one call per
+// NewConn builds an endpoint. probes instrument it: Trace receives
+// per-frame send/recv events and flow-control stalls; Check shadows
+// stream-state legality, flow-control windows and HPACK table agreement;
+// Flows receives every frame sent and received. Feed Flows from exactly
+// one endpoint per flow — the simulated browser's connection, or
+// h2serve's server connection — because the analyzer resolves direction
+// from this endpoint's role. out transmits wire bytes (one call per
 // frame, which the TLS layer seals as one record) and must be non-nil.
 // The slice passed to out is scratch the connection reuses for the next
 // frame: consumers that keep the bytes past the callback must copy them.
-func NewConn(isClient bool, cfg Config, out func([]byte)) (*Conn, error) {
+func NewConn(isClient bool, cfg Config, probes probe.Set, out func([]byte)) (*Conn, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -223,31 +213,18 @@ func NewConn(isClient bool, cfg Config, out func([]byte)) (*Conn, error) {
 		c.nextStreamID = 2
 		c.prefacePending = []byte(ClientPreface)
 	}
-	if cfg.Tracer.Enabled() {
-		c.tr = cfg.Tracer
-		c.traceName = cfg.TraceName
-		if c.traceName == "" {
-			if isClient {
-				c.traceName = "client"
-			} else {
-				c.traceName = "server"
-			}
+	c.name = cfg.Name
+	if c.name == "" {
+		c.name = "server"
+		if isClient {
+			c.name = "client"
 		}
-		c.ctStall = c.tr.Counter(trace.LayerH2, c.traceName+".fc-stall")
 	}
-	if cfg.Check.Enabled() {
-		c.ck = cfg.Check
-		c.ckName = cfg.TraceName
-		if c.ckName == "" {
-			if isClient {
-				c.ckName = "client"
-			} else {
-				c.ckName = "server"
-			}
-		}
-		c.ck.H2Register(c.ckName, isClient, cfg.InitialWindowSize)
+	c.tr, c.ck, c.fl = probes.Trace, probes.Check, probes.Flows
+	if c.tr.Enabled() {
+		c.ctStall = c.tr.Counter(trace.LayerH2, c.name+".fc-stall")
 	}
-	c.fl = cfg.Flows
+	c.ck.H2Register(c.name, isClient, cfg.InitialWindowSize)
 	return c, nil
 }
 
@@ -346,7 +323,7 @@ func (c *Conn) Push(parent *Stream, fields []HeaderField) (*Stream, error) {
 	block := c.henc.Encode(c.hencBuf[:0], fields)
 	c.hencBuf = block
 	if c.ck.Enabled() {
-		c.ck.HpackEncoded(c.ckName, c.henc.DynamicTableSize())
+		c.ck.HpackEncoded(c.name, c.henc.DynamicTableSize())
 	}
 	c.emitFrame(FramePushPromise, parent.id, func(dst []byte) []byte {
 		return AppendPushPromise(dst, parent.id, id, block, true)
@@ -433,7 +410,7 @@ func (c *Conn) sendHeaderBlock(streamID uint32, fields []HeaderField, endStream 
 	block := c.henc.Encode(c.hencBuf[:0], fields)
 	c.hencBuf = block
 	if c.ck.Enabled() {
-		c.ck.HpackEncoded(c.ckName, c.henc.DynamicTableSize())
+		c.ck.HpackEncoded(c.name, c.henc.DynamicTableSize())
 	}
 	max := c.peerMaxFrameSize
 	if !prio.IsZero() {
@@ -487,7 +464,7 @@ func (c *Conn) emitFrame(t FrameType, streamID uint32, build func([]byte) []byte
 	c.wbuf = b
 	if c.tr.Enabled() {
 		c.tr.Emit(trace.LayerH2, "send",
-			trace.Str("ep", c.traceName), trace.Str("type", t.String()),
+			trace.Str("ep", c.name), trace.Str("type", t.String()),
 			trace.Num("stream", int64(streamID)), trace.Num("len", int64(len(b)-FrameHeaderSize)))
 	}
 	if c.ck.Enabled() {
@@ -498,7 +475,7 @@ func (c *Conn) emitFrame(t FrameType, streamID uint32, build func([]byte) []byte
 			p := b[FrameHeaderSize:]
 			aux = (uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3])) & 0x7fffffff
 		}
-		c.ck.H2FrameSent(c.ckName, uint8(t), streamID, len(b)-FrameHeaderSize, b[4], aux)
+		c.ck.H2FrameSent(c.name, uint8(t), streamID, len(b)-FrameHeaderSize, b[4], aux)
 	}
 	if c.fl.Enabled() {
 		c.fl.H2Frame(c.isClient, true, uint8(t), streamID, len(b)-FrameHeaderSize, b[4])

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"h2privacy/internal/h2"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/trace"
 )
 
@@ -402,7 +403,8 @@ func TestConcurrentTracer(t *testing.T) {
 	tr := trace.New(trace.WallClock(), trace.Config{Concurrent: true})
 	sc, cc := net.Pipe()
 	srv := &Server{
-		Config:  h2.Config{Tracer: tr, TraceName: "server"},
+		Config:  h2.Config{Name: "server"},
+		Probes:  probe.Set{Trace: tr},
 		Handler: echoHandler,
 	}
 	done := make(chan struct{})

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"h2privacy/internal/h2"
+	"h2privacy/internal/probe"
 )
 
 // Request is a decoded HTTP/2 request.
@@ -105,6 +106,10 @@ type Server struct {
 	Handler HandlerFunc
 	// Config tunes the h2 endpoint.
 	Config h2.Config
+	// Probes instrument every served connection's h2 endpoint (see
+	// h2.NewConn). Hooks must be safe for concurrent use: arm the tracer,
+	// checker and analyzer in their concurrent modes.
+	Probes probe.Set
 	// Random seeds the TLS handshake; zero is fine for tests.
 	Random [32]byte
 }
@@ -115,7 +120,7 @@ func (s *Server) Serve(nc net.Conn) error {
 	if s.Handler == nil {
 		return fmt.Errorf("h2sync: Server requires a Handler")
 	}
-	p, err := newPeer(nc, false, s.Config, s.Random)
+	p, err := newPeer(nc, false, s.Config, s.Probes, s.Random)
 	if err != nil {
 		return err
 	}

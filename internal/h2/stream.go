@@ -146,7 +146,7 @@ func (s *Stream) SendData(p []byte, endStream bool) (int, error) {
 			s.conn.ctStall.Inc()
 			if c := s.conn; c.tr.Enabled() {
 				c.tr.Emit(trace.LayerH2, "fc-stall",
-					trace.Str("ep", c.traceName), trace.Num("stream", int64(s.id)),
+					trace.Str("ep", c.name), trace.Num("stream", int64(s.id)),
 					trace.Num("stream_wnd", s.sendWindow), trace.Num("conn_wnd", c.sendWindow))
 			}
 			break
@@ -160,7 +160,7 @@ func (s *Stream) SendData(p []byte, endStream bool) (int, error) {
 		s.sendWindow -= consumed
 		s.conn.sendWindow -= consumed
 		if c := s.conn; c.ck.Enabled() {
-			c.ck.H2DataSent(c.ckName, s.id, int(consumed))
+			c.ck.H2DataSent(c.name, s.id, int(consumed))
 		}
 		s.conn.stats.DataBytesSent += int64(chunk)
 		sent += chunk

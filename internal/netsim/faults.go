@@ -37,11 +37,11 @@ type FaultTransition struct {
 	Detail string
 }
 
-// Injector schedules fault events against one path. Build it with
-// NewInjector, optionally attach a KnobWiper / tracer / metrics registry,
-// then either arm a named Scenario or call the Schedule* primitives
-// directly. All primitives may be composed; each owns an RNG fork so their
-// draws never perturb each other.
+// Injector schedules fault events against one path, tracing and counting
+// its transitions into the path's probes. Build it with NewInjector,
+// optionally attach a KnobWiper, then either arm a named Scenario or call
+// the Schedule* primitives directly. All primitives may be composed; each
+// owns an RNG fork so their draws never perturb each other.
 type Injector struct {
 	sched *simtime.Scheduler
 	rng   *simtime.Rand
@@ -60,23 +60,16 @@ func NewInjector(sched *simtime.Scheduler, rng *simtime.Rand, path *Path) *Injec
 	if sched == nil || rng == nil || path == nil {
 		panic("netsim: NewInjector requires a scheduler, rng and path")
 	}
-	return &Injector{sched: sched, rng: rng, path: path}
+	in := &Injector{sched: sched, rng: rng, path: path, tr: path.probes.Trace}
+	if reg := path.probes.Metrics; reg != nil {
+		in.mTransitions = reg.CounterVec("h2privacy_fault_transitions_total",
+			"Fault-injection transitions applied to the path, by fault kind.", "kind")
+	}
+	return in
 }
 
 // SetWiper installs the knob-state target of ScheduleMboxRestart.
 func (in *Injector) SetWiper(w KnobWiper) { in.wiper = w }
-
-// SetTracer arms per-transition trace events (LayerNetsim, kind "fault").
-func (in *Injector) SetTracer(tr *trace.Tracer) { in.tr = tr }
-
-// SetMetrics arms a per-kind fault-transition counter in the registry.
-func (in *Injector) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	in.mTransitions = reg.CounterVec("h2privacy_fault_transitions_total",
-		"Fault-injection transitions applied to the path, by fault kind.", "kind")
-}
 
 // Log returns the fault transitions applied so far, in virtual-time order.
 func (in *Injector) Log() []FaultTransition { return in.log }

@@ -6,6 +6,7 @@ import (
 
 	"h2privacy/internal/check"
 	"h2privacy/internal/pool"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/trace"
 )
@@ -176,21 +177,20 @@ func (l *Link) AddProcessor(p Processor) { l.procs = append(l.procs, p) }
 // AddTap appends a passive observer.
 func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
 
-// SetTracer arms per-packet tracing on the link. Counters are registered
-// here, once, so the Send path only touches pre-resolved instruments.
-func (l *Link) SetTracer(tr *trace.Tracer) {
-	l.tr = tr
-	prefix := l.dir.String() + "."
-	l.ctEnqueue = tr.Counter(trace.LayerNetsim, prefix+"enqueue")
-	l.ctDequeue = tr.Counter(trace.LayerNetsim, prefix+"dequeue")
-	l.ctDrop = tr.Counter(trace.LayerNetsim, prefix+"drop")
-	l.ctReorder = tr.Counter(trace.LayerNetsim, prefix+"reorder")
-}
-
-// SetChecker arms packet-conservation invariant checks on the link. The
-// direction index is resolved once so the Send path stays allocation-free.
-func (l *Link) SetChecker(ck *check.Checker) {
-	l.ck = ck
+// arm installs the path's probes: per-packet tracing and
+// packet-conservation checks. Trace counters and the check direction are
+// resolved here, once, so the Send path only touches pre-resolved
+// instruments and stays allocation-free.
+func (l *Link) arm(p probe.Set) {
+	if p.Trace.Enabled() {
+		l.tr = p.Trace
+		prefix := l.dir.String() + "."
+		l.ctEnqueue = l.tr.Counter(trace.LayerNetsim, prefix+"enqueue")
+		l.ctDequeue = l.tr.Counter(trace.LayerNetsim, prefix+"dequeue")
+		l.ctDrop = l.tr.Counter(trace.LayerNetsim, prefix+"drop")
+		l.ctReorder = l.tr.Counter(trace.LayerNetsim, prefix+"reorder")
+	}
+	l.ck = p.Check
 	l.ckDir = check.DirC2S
 	if l.dir == ServerToClient {
 		l.ckDir = check.DirS2C

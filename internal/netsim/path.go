@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"h2privacy/internal/check"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/simtime"
-	"h2privacy/internal/trace"
 )
 
 // PathConfig describes the full client↔server path. The same physical
@@ -17,11 +16,11 @@ type PathConfig struct {
 	// Asymmetric, when non-nil, configures the server→client link
 	// separately (e.g. an asymmetric access link).
 	Asymmetric *LinkConfig
-	// Tracer, when non-nil, arms per-packet tracing on both links.
-	Tracer *trace.Tracer
-	// Check, when non-nil, arms packet-conservation invariant checks on
-	// both links (see internal/check).
-	Check *check.Checker
+	// Probes is the flow's instrumentation. Both links trace packets into
+	// Probes.Trace and book packet conservation into Probes.Check; every
+	// component built on the path (TCP pair, controller, injector) reads
+	// the set back through Path.Probes.
+	Probes probe.Set
 }
 
 // Path is the bidirectional client↔server connection through the
@@ -31,6 +30,7 @@ type PathConfig struct {
 // packets", §IV-C).
 type Path struct {
 	c2s, s2c *Link
+	probes   probe.Set
 }
 
 // NewPath builds a path over the given scheduler. Each link gets its own
@@ -53,16 +53,13 @@ func NewPath(sched *simtime.Scheduler, rng *simtime.Rand, cfg PathConfig) (*Path
 	if err != nil {
 		return nil, fmt.Errorf("netsim: server→client link: %w", err)
 	}
-	if cfg.Tracer.Enabled() {
-		c2s.SetTracer(cfg.Tracer)
-		s2c.SetTracer(cfg.Tracer)
-	}
-	if cfg.Check.Enabled() {
-		c2s.SetChecker(cfg.Check)
-		s2c.SetChecker(cfg.Check)
-	}
-	return &Path{c2s: c2s, s2c: s2c}, nil
+	c2s.arm(cfg.Probes)
+	s2c.arm(cfg.Probes)
+	return &Path{c2s: c2s, s2c: s2c, probes: cfg.Probes}, nil
 }
+
+// Probes returns the flow's probe set, as given in PathConfig.
+func (p *Path) Probes() probe.Set { return p.probes }
 
 // Connect installs the two endpoints' delivery handlers: toServer receives
 // client→server packets, toClient receives server→client packets.

@@ -6,6 +6,7 @@ import (
 
 	"h2privacy/internal/check"
 	"h2privacy/internal/pool"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/simtime"
 	"h2privacy/internal/trace"
 )
@@ -92,12 +93,17 @@ type Conn struct {
 	hSRTT     *trace.Histo
 
 	ck *check.Checker // nil unless invariant checks are armed
+
+	probes probe.Set // the flow's probes, handed on to the endpoint built on this conn
 }
 
-// NewConn builds an endpoint. name tags errors and traces ("client",
-// "server"). iss is the initial send sequence number. out transmits a
-// segment onto the network and must be non-nil.
-func NewConn(sched *simtime.Scheduler, cfg Config, name string, iss uint64, out func(*Segment)) (*Conn, error) {
+// NewConn builds an endpoint. probes instrument it: Trace receives cwnd,
+// RTO, recovery and SRTT events, Check shadows the sequence space
+// (delivered-byte conservation, ACK bounds, sndNxt/rcvNxt monotonicity
+// outside RTO rewinds). name tags errors, traces and check shadows
+// ("client", "server"). iss is the initial send sequence number. out
+// transmits a segment onto the network and must be non-nil.
+func NewConn(sched *simtime.Scheduler, cfg Config, probes probe.Set, name string, iss uint64, out func(*Segment)) (*Conn, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -118,24 +124,28 @@ func NewConn(sched *simtime.Scheduler, cfg Config, name string, iss uint64, out 
 		rto:      time.Second, // conservative pre-handshake RTO (RFC 6298 §2)
 		ooo:      make(map[uint64][]byte),
 		arena:    cfg.Pool,
+		probes:   probes,
 	}
 	c.onRTOFn = c.onRTO
 	c.onPTOFn = c.onPTO
 	c.onRackFn = c.onRack
 	c.onDelAckFn = c.onDelAck
-	if cfg.Tracer.Enabled() {
-		c.tr = cfg.Tracer
+	if probes.Trace.Enabled() {
+		c.tr = probes.Trace
 		c.ctRTO = c.tr.Counter(trace.LayerTCP, name+".rto")
 		c.ctFastRtx = c.tr.Counter(trace.LayerTCP, name+".fast-retransmit")
 		c.ctTLP = c.tr.Counter(trace.LayerTCP, name+".tlp")
 		c.hSRTT = c.tr.Histo(trace.LayerTCP, name+".srtt_ms")
 	}
-	if cfg.Check.Enabled() {
-		c.ck = cfg.Check
+	if probes.Check.Enabled() {
+		c.ck = probes.Check
 		c.ck.TCPRegister(name, iss)
 	}
 	return c, nil
 }
+
+// Probes returns the flow's probe set the connection was built with.
+func (c *Conn) Probes() probe.Set { return c.probes }
 
 // State reports the current connection state.
 func (c *Conn) State() State { return c.state }

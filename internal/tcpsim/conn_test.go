@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"h2privacy/internal/netsim"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/simtime"
 )
 
@@ -374,16 +375,16 @@ func TestRTTEstimate(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	sched := simtime.NewScheduler()
-	if _, err := NewConn(sched, Config{MSS: 10}, "x", 0, func(*Segment) {}); err == nil {
+	if _, err := NewConn(sched, Config{MSS: 10}, probe.Set{}, "x", 0, func(*Segment) {}); err == nil {
 		t.Fatal("tiny MSS accepted")
 	}
-	if _, err := NewConn(sched, Config{MinRTO: time.Second, MaxRTO: time.Millisecond}, "x", 0, func(*Segment) {}); err == nil {
+	if _, err := NewConn(sched, Config{MinRTO: time.Second, MaxRTO: time.Millisecond}, probe.Set{}, "x", 0, func(*Segment) {}); err == nil {
 		t.Fatal("inverted RTO bounds accepted")
 	}
-	if _, err := NewConn(nil, Config{}, "x", 0, func(*Segment) {}); err == nil {
+	if _, err := NewConn(nil, Config{}, probe.Set{}, "x", 0, func(*Segment) {}); err == nil {
 		t.Fatal("nil scheduler accepted")
 	}
-	if _, err := NewConn(sched, Config{}, "x", 0, nil); err == nil {
+	if _, err := NewConn(sched, Config{}, probe.Set{}, "x", 0, nil); err == nil {
 		t.Fatal("nil transmit accepted")
 	}
 }
