@@ -42,6 +42,15 @@ const setupRecordSkip = 2
 // start (records rarely straddle segments in this workload: the client
 // seals each frame as one record) and falls back to a whole-payload size
 // gate when the bytes do not parse as records.
+//
+// Parsing from the first byte means a segment that starts mid-record (a
+// continuation or a resegmented retransmission) has ciphertext read as a
+// record header. ParseHeader checks neither type nor version, so whenever
+// those five bytes carry a length that fits the segment, the classifier
+// walks "records" cut from ciphertext instead of taking the size gate.
+// The toy keystream's bytes therefore reach the GET count and, through
+// the jitter decisions built on it, attack outcomes: a keystream swap is
+// an output change even though every record keeps its size.
 type GETClassifier struct {
 	seenAppData int
 }

@@ -5,7 +5,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -42,7 +41,7 @@ func (e *Event) Time() time.Duration { return e.at }
 type Scheduler struct {
 	now      time.Duration
 	nextSeq  uint64
-	queue    eventQueue
+	queue    eventHeap
 	running  bool
 	free     *Event // recycled fired events (see Event)
 	stepHook func(time.Duration)
@@ -159,7 +158,7 @@ func (s *Scheduler) At(at time.Duration, fn func()) *Event {
 		ev = &Event{at: at, seq: s.nextSeq, fn: fn}
 	}
 	s.nextSeq++
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return ev
 }
 
@@ -193,7 +192,7 @@ func (s *Scheduler) AtArg(at time.Duration, fn func(any), arg any) *Event {
 		ev = &Event{at: at, seq: s.nextSeq, fnA: fn, arg: arg}
 	}
 	s.nextSeq++
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return ev
 }
 
@@ -216,7 +215,7 @@ func (s *Scheduler) Cancel(ev *Event) {
 	}
 	ev.dead = true
 	if ev.idx >= 0 {
-		heap.Remove(&s.queue, ev.idx)
+		s.queue.remove(ev.idx)
 	}
 }
 
@@ -230,7 +229,7 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
+		ev := s.queue.pop()
 		if ev.dead {
 			continue
 		}
@@ -238,7 +237,7 @@ func (s *Scheduler) Step() bool {
 			// Push the event back so the scheduler state stays coherent for
 			// a recovering supervisor that wants to inspect it.
 			ev.dead = false
-			heap.Push(&s.queue, ev)
+			s.queue.push(ev)
 			panic(&BudgetError{Steps: s.steps, Now: s.now})
 		}
 		s.steps++
@@ -246,12 +245,12 @@ func (s *Scheduler) Step() bool {
 			if s.interrupt != nil && s.interrupt() {
 				s.interrupted = true
 				ev.dead = false
-				heap.Push(&s.queue, ev)
+				s.queue.push(ev)
 				return false
 			}
 			if !s.wallDeadline.IsZero() && time.Now().After(s.wallDeadline) {
 				ev.dead = false
-				heap.Push(&s.queue, ev)
+				s.queue.push(ev)
 				panic(&DeadlineError{Limit: s.wallLimit, Steps: s.steps, Now: s.now})
 			}
 		}
@@ -326,47 +325,100 @@ func (s *Scheduler) guardReentry() {
 
 func (s *Scheduler) peek() *Event {
 	for len(s.queue) > 0 {
-		if s.queue[0].dead {
-			heap.Pop(&s.queue)
-			continue
+		if ev := s.queue[0].ev; !ev.dead {
+			return ev
 		}
-		return s.queue[0]
+		s.queue.pop()
 	}
 	return nil
 }
 
-// eventQueue is a min-heap ordered by (time, sequence).
-type eventQueue []*Event
+// eventHeap is a binary min-heap of pending events ordered by (at, seq).
+// Each slot carries its key inline next to the *Event, so sifting compares
+// keys without loading the Event, and sifts move a hole rather than
+// swapping. Every placement writes the slot index back into Event.idx so
+// Cancel can remove an event in O(log n). Keys are unique (seq never
+// repeats among pending events), so any correct min-heap pops the same
+// sequence.
+type eventHeap []heapSlot
 
-var _ heap.Interface = (*eventQueue)(nil)
+type heapSlot struct {
+	at  time.Duration
+	seq uint64
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
+func (a *heapSlot) before(b *heapSlot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, heapSlot{})
+	h.up(len(*h)-1, heapSlot{at: ev.at, seq: ev.seq, ev: ev})
+}
+
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() *Event {
+	return h.remove(0)
+}
+
+// remove takes the event at slot i out of the heap and returns it with
+// idx reset to -1.
+func (h *eventHeap) remove(i int) *Event {
+	q := *h
+	n := len(q) - 1
+	ev := q[i].ev
+	last := q[n]
+	q[n] = heapSlot{}
+	q = q[:n]
+	*h = q
+	if i < n {
+		if i > 0 && last.before(&q[(i-1)/2]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
+		}
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
 	ev.idx = -1
-	*q = old[:n-1]
 	return ev
+}
+
+// up places x at hole i, moving the hole toward the root past every
+// parent x sorts before.
+func (h eventHeap) up(i int, x heapSlot) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.idx = i
+		i = p
+	}
+	h[i] = x
+	x.ev.idx = i
+}
+
+// down places x at hole i, moving the hole toward the leaves past every
+// smaller child.
+func (h eventHeap) down(i int, x heapSlot) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&x) {
+			break
+		}
+		h[i] = h[c]
+		h[i].ev.idx = i
+		i = c
+	}
+	h[i] = x
+	x.ev.idx = i
 }

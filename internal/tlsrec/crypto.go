@@ -29,9 +29,16 @@ func keystreamInto(buf []byte, key [32]byte, seq uint64, n int) []byte {
 	return out[:n]
 }
 
-// xorInto XORs pad into dst in place.
+// xorInto XORs pad into dst in place, eight bytes per step with a byte
+// tail. pad must be at least as long as dst.
 func xorInto(dst, pad []byte) {
-	for i := range dst {
+	pad = pad[:len(dst)]
+	i := 0
+	for ; len(dst)-i >= 8; i += 8 {
+		w := binary.LittleEndian.Uint64(dst[i:]) ^ binary.LittleEndian.Uint64(pad[i:])
+		binary.LittleEndian.PutUint64(dst[i:], w)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] ^= pad[i]
 	}
 }

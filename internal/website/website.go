@@ -234,10 +234,35 @@ func (s *Site) Lookup(path string) *Object { return s.byPath[path] }
 // page); the paper's site embeds 47.
 func (s *Site) EmbeddedCount() int { return len(s.Objects) - 1 }
 
-// Body generates the deterministic response body for an object.
+// maxSharedBody is the largest body Body serves from bodyPattern; it
+// covers every catalog object (the largest is vendor-js, 88,133 bytes).
+const maxSharedBody = 128 << 10
+
+// bodyPattern[j] = byte(j*131). Every body is a window of it: since
+// 43·131 ≡ 1 (mod 256), seed + byte(i*131) = byte((43*seed + i)*131), so
+// the body with seed s starts at offset byte(43*s). As a package-level
+// array it lives in BSS, not on the heap; the 256 spare bytes cover the
+// largest start offset.
+var bodyPattern [maxSharedBody + 256]byte
+
+func init() {
+	for j := range bodyPattern {
+		bodyPattern[j] = byte(j * 131)
+	}
+}
+
+// Body returns the deterministic response body for an object: byte i is
+// byte(len(o.ID)) + byte(i*131). The slice is read-only — bodies up to
+// maxSharedBody share one backing array — and capacity-capped, so an
+// append copies instead of writing into it. Larger bodies are allocated
+// and filled per call.
 func (s *Site) Body(o *Object) []byte {
-	b := make([]byte, o.Size)
 	seed := byte(len(o.ID))
+	if n := o.Size; n <= maxSharedBody {
+		k := int(43 * seed)
+		return bodyPattern[k : k+n : k+n]
+	}
+	b := make([]byte, o.Size)
 	for i := range b {
 		b[i] = seed + byte(i*131)
 	}

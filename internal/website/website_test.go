@@ -244,3 +244,44 @@ func TestPlanForShuffledPreservesNonEmblems(t *testing.T) {
 		}
 	}
 }
+
+// oldBody is Body's reference formula: a fresh slice filled byte by byte.
+func oldBody(o *Object) []byte {
+	b := make([]byte, o.Size)
+	seed := byte(len(o.ID))
+	for i := range b {
+		b[i] = seed + byte(i*131)
+	}
+	return b
+}
+
+// TestBodyMatchesFormula pins that serving bodies from the shared array
+// is output-identical: every object of the target catalog and of a range
+// of decoy catalogs, plus one 200 KB object past the array, equals the
+// byte-by-byte formula, and every shared body is capacity-capped.
+func TestBodyMatchesFormula(t *testing.T) {
+	target := ISideWith()
+	for _, o := range target.Objects {
+		if o.Size > maxSharedBody {
+			t.Fatalf("catalog object %s (%d bytes) is past the shared array", o.ID, o.Size)
+		}
+	}
+	sites := []*Site{target}
+	for i := 0; i < 64; i++ {
+		sites = append(sites, DecoySite(i))
+	}
+	big := &Site{Objects: []Object{{ID: "big-object", Size: 200_000}}}
+	sites = append(sites, big)
+	for _, s := range sites {
+		for i := range s.Objects {
+			o := &s.Objects[i]
+			got := s.Body(o)
+			if string(got) != string(oldBody(o)) {
+				t.Fatalf("%s/%s (%d bytes): body differs from the formula", s.Host, o.ID, o.Size)
+			}
+			if o.Size <= maxSharedBody && cap(got) != len(got) {
+				t.Fatalf("%s/%s: shared body has cap %d > len %d", s.Host, o.ID, cap(got), len(got))
+			}
+		}
+	}
+}
