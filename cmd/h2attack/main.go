@@ -213,17 +213,17 @@ func main() {
 	if fcol != nil {
 		fl = flowseq.New(0, fcol)
 	}
-	// The supervision flags apply to the single-trial path too, so a
-	// quarantined trial's repro command (-trials 1 -seed S -chaos mode:0
-	// -step-budget N) replays the exact failure standalone: the chaos
-	// injection fires, the watchdog kills it, and the panic is loud and
-	// uncaught — this path is for diagnosis, not salvage.
+	// The chaos flag applies to the single-trial path too, so a
+	// quarantined trial's repro command (-trials 1 -seed S -chaos mode:0)
+	// replays the exact failure standalone: the chaos injection fires, the
+	// panic or stall is loud and uncaught — this path is for diagnosis,
+	// not salvage.
 	chaosFor, err := cliutil.ParseChaosSpec(sf.Chaos)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := core.TrialConfig{Seed: *seed, Attack: &plan, Scenario: *scenario, Trace: tracer, Metrics: reg, Check: ck, Flows: fl,
-		StepBudget: sf.StepBudget, WallDeadline: sf.TrialDeadline, Fleet: fleetCfg}
+		Fleet: fleetCfg}
 	if chaosFor != nil {
 		cfg.Chaos = chaosFor(0)
 	}
@@ -366,17 +366,13 @@ func runSweep(ctx context.Context, seed int64, n, workers int, noPool bool, plan
 	}
 	// A quarantined trial's repro replays it standalone: same seed and
 	// attack knobs as a one-trial run, with the chaos injection remapped to
-	// flat index 0 and — for watchdog kills — the same step budget, so the
-	// replay dies as loudly as the original did.
+	// flat index 0, so the replay dies as loudly as the original did.
 	quar.SetRepro(func(f experiment.TrialFailure) string {
 		cmd := fmt.Sprintf("go run ./cmd/h2attack -trials 1 -seed %d%s", f.Seed, knobs)
 		if opts.ChaosTrial != nil {
 			if m := opts.ChaosTrial(f.Trial); m != core.ChaosNone {
 				cmd += fmt.Sprintf(" -chaos %s:0", m)
 			}
-		}
-		if f.Kind == experiment.FailTimeout {
-			cmd += fmt.Sprintf(" -step-budget %d", sf.StepBudget)
 		}
 		return cmd
 	})

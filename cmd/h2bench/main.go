@@ -67,9 +67,9 @@ func run() int {
 		return 2
 	}
 	opts := experiment.Options{Trials: *trials, BaseSeed: *seed, Workers: *parallel, NoPool: *noPool}
-	// Trial supervision: watchdogs, retry/quarantine (degraded completion
-	// instead of aborting the whole regeneration run on one bad trial),
-	// and cooperative SIGINT drain — a partial manifest still gets written.
+	// Trial supervision: quarantine (degraded completion instead of
+	// aborting the whole regeneration run on one bad trial) and
+	// cooperative SIGINT drain — a partial manifest still gets written.
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
 	opts.Ctx = ctx
@@ -86,9 +86,6 @@ func run() int {
 		cmd := fmt.Sprintf("go run ./cmd/h2bench -trials %d -seed %d", *trials, *seed)
 		if sf.Chaos != "" {
 			cmd += " -chaos " + sf.Chaos
-		}
-		if f.Kind == experiment.FailTimeout {
-			cmd += fmt.Sprintf(" -step-budget %d", sf.StepBudget)
 		}
 		return fmt.Sprintf("%s <experiment-id>  # failed trial: seed %d, flat index %d", cmd, f.Seed, f.Trial)
 	})

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"h2privacy/internal/check"
 	"h2privacy/internal/core"
@@ -358,35 +357,19 @@ func (ff *FeatureFlags) Export(col *flowseq.Collector, logw io.Writer, tool stri
 	return nil
 }
 
-// DefaultStepBudget is the per-trial virtual-time watchdog default: a
-// full attack trial executes ~12k scheduler events, so five million is
-// ~400x headroom for any legitimate configuration while a chaos-hang
-// trial burns through it in a fraction of a second.
-const DefaultStepBudget = 5_000_000
-
-// SuperviseFlags holds the sweep supervision flag group: retry bounds,
-// per-trial watchdogs, deterministic fault injection, the degraded-mode
-// exit policy and the quarantine artifact path. Registered alongside the
-// Check/Perf/Feature groups so all sweep-capable commands stay
-// consistent.
+// SuperviseFlags holds the sweep supervision flag group: deterministic
+// fault injection, the degraded-mode exit policy and the quarantine
+// artifact path. Wedged trials need no flag: the scheduler's stall rule
+// is always on. Registered alongside the Check/Perf/Feature groups so all
+// sweep-capable commands stay consistent.
 type SuperviseFlags struct {
-	MaxRetries    int
-	TrialDeadline time.Duration
-	StepBudget    uint64
 	Chaos         string
 	Strict        bool
 	QuarantineOut string
 }
 
-// RegisterSupervise adds -max-retries, -trial-deadline, -step-budget,
-// -chaos, -strict and -quarantine-out to fs.
+// RegisterSupervise adds -chaos, -strict and -quarantine-out to fs.
 func (sf *SuperviseFlags) RegisterSupervise(fs *flag.FlagSet) {
-	fs.IntVar(&sf.MaxRetries, "max-retries", 1,
-		"re-run a failed trial this many times (fresh state each attempt, escalating backoff) before quarantining it")
-	fs.DurationVar(&sf.TrialDeadline, "trial-deadline", 0,
-		"wall-clock watchdog per trial attempt (0 disables); nondeterministic backstop — prefer -step-budget for reproducible kills")
-	fs.Uint64Var(&sf.StepBudget, "step-budget", DefaultStepBudget,
-		"virtual-time watchdog: kill a trial attempt after this many scheduler events (deterministic; 0 disables)")
 	fs.StringVar(&sf.Chaos, "chaos", "",
 		"deterministically sabotage trials for supervisor testing: comma list of mode:flatIndex with modes panic|hang, e.g. panic:3,hang:11")
 	fs.BoolVar(&sf.Strict, "strict", false,
@@ -421,9 +404,8 @@ func ParseChaosSpec(spec string) (func(int) core.ChaosMode, error) {
 	return func(flat int) core.ChaosMode { return m[flat] }, nil
 }
 
-// Apply threads the supervision flags into opts — retry bounds,
-// watchdogs, chaos injection — and arms degraded mode with a fresh
-// Quarantine collector, published as the "quarantine" expvar for
+// Apply threads the chaos injection into opts and arms degraded mode with
+// a fresh Quarantine collector, published as the "quarantine" expvar for
 // /debug/vars. Returns the collector for Report after the sweep.
 func (sf *SuperviseFlags) Apply(opts *experiment.Options) (*experiment.Quarantine, error) {
 	chaos, err := ParseChaosSpec(sf.Chaos)
@@ -432,10 +414,6 @@ func (sf *SuperviseFlags) Apply(opts *experiment.Options) (*experiment.Quarantin
 	}
 	q := experiment.NewQuarantine()
 	obs.PublishQuarantineVar(func() any { return q.Receipt() })
-	opts.MaxRetries = sf.MaxRetries
-	opts.RetryBackoff = 100 * time.Millisecond
-	opts.TrialDeadline = sf.TrialDeadline
-	opts.StepBudget = sf.StepBudget
 	opts.Quarantine = q
 	opts.ChaosTrial = chaos
 	return q, nil
@@ -450,10 +428,9 @@ func (sf *SuperviseFlags) Apply(opts *experiment.Options) (*experiment.Quarantin
 func (sf *SuperviseFlags) Report(q *experiment.Quarantine, logw io.Writer, tool string) (int, error) {
 	n := q.Len()
 	if n > 0 && logw != nil {
-		fmt.Fprintf(logw, "%s: sweep DEGRADED: %d trial(s) quarantined after exhausting retries\n", tool, n)
+		fmt.Fprintf(logw, "%s: sweep DEGRADED: %d trial(s) quarantined\n", tool, n)
 		for _, f := range q.Failures() {
-			fmt.Fprintf(logw, "  trial %d (seed %d) [%s] after %d attempt(s): %s\n",
-				f.Trial, f.Seed, f.Kind, f.Attempts, f.Err)
+			fmt.Fprintf(logw, "  trial %d (seed %d) [%s]: %s\n", f.Trial, f.Seed, f.Kind, f.Err)
 			fmt.Fprintf(logw, "      repro: %s\n", f.Repro)
 		}
 	}

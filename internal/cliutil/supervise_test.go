@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"h2privacy/internal/adversary"
 	"h2privacy/internal/core"
 	"h2privacy/internal/experiment"
 )
@@ -42,17 +43,43 @@ func TestSuperviseFlagsDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if sf.MaxRetries != 1 || sf.StepBudget != DefaultStepBudget || sf.TrialDeadline != 0 ||
-		sf.Chaos != "" || sf.Strict || sf.QuarantineOut != "" {
+	if sf.Chaos != "" || sf.Strict || sf.QuarantineOut != "" {
 		t.Fatalf("defaults = %+v", sf)
 	}
-	if err := fs.Parse([]string{"-max-retries", "2", "-chaos", "hang:0", "-strict",
-		"-step-budget", "9000", "-quarantine-out", "q.json"}); err != nil {
+	if err := fs.Parse([]string{"-chaos", "hang:0", "-strict", "-quarantine-out", "q.json"}); err != nil {
 		t.Fatal(err)
 	}
-	if sf.MaxRetries != 2 || sf.Chaos != "hang:0" || !sf.Strict ||
-		sf.StepBudget != 9000 || sf.QuarantineOut != "q.json" {
+	if sf.Chaos != "hang:0" || !sf.Strict || sf.QuarantineOut != "q.json" {
 		t.Fatalf("parsed = %+v", sf)
+	}
+}
+
+// TestDefaultSupervisionKeepsBusyTrial pins that a trial which is busy
+// but never wedged survives default supervision: flat index 50 of
+// crosstraffic (the first 300 Mbps trial, ~7.5M events over 120 s of
+// virtual time) was once quarantined by a 5M-event step budget.
+func TestDefaultSupervisionKeepsBusyTrial(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	var sf SuperviseFlags
+	sf.RegisterSupervise(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	opts := experiment.Options{BaseSeed: 1, Workers: 1, SuperviseLog: io.Discard}
+	q, err := sf.Apply(&opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := adversary.DefaultPlan()
+	results, err := opts.Sweep(1, func(int) core.TrialConfig {
+		return core.TrialConfig{Seed: opts.BaseSeed + 50, Attack: &plan, CrossTrafficBps: 300e6}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := results[0]; res.Quarantined || q.Len() != 0 || res.Broken {
+		t.Fatalf("quarantined=%v (%d failures), broken=%v (%s), want a clean trial",
+			res.Quarantined, q.Len(), res.Broken, res.BrokenReason)
 	}
 }
 
@@ -62,13 +89,13 @@ func TestSuperviseFlagsDefaults(t *testing.T) {
 // quarantine artifact, and Exit enforces -strict.
 func TestSuperviseApplyDegradedRun(t *testing.T) {
 	qpath := filepath.Join(t.TempDir(), "quarantine.json")
-	sf := SuperviseFlags{MaxRetries: 0, StepBudget: 50_000, Chaos: "panic:0", QuarantineOut: qpath}
+	sf := SuperviseFlags{Chaos: "panic:0", QuarantineOut: qpath}
 	opts := experiment.Options{BaseSeed: 11, Workers: 1, SuperviseLog: io.Discard}
 	q, err := sf.Apply(&opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Quarantine != q || opts.ChaosTrial == nil || opts.StepBudget != 50_000 {
+	if opts.Quarantine != q || opts.ChaosTrial == nil {
 		t.Fatalf("Apply left opts unarmed: %+v", opts)
 	}
 	q.SetRepro(func(f experiment.TrialFailure) string { return "replay-me" })
@@ -96,7 +123,7 @@ func TestSuperviseApplyDegradedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"version": 1`, `"kind": "panic"`, "replay-me"} {
+	for _, want := range []string{`"version": 2`, `"kind": "panic"`, "replay-me"} {
 		if !strings.Contains(string(raw), want) {
 			t.Fatalf("quarantine file lacks %q:\n%s", want, raw)
 		}

@@ -2,17 +2,15 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"h2privacy/internal/simtime"
 )
 
 // ChaosMode deterministically sabotages a trial (TrialConfig.Chaos) so
-// the sweep supervision layer — panic isolation, watchdogs, retry and
-// quarantine — can be exercised on demand instead of waiting for a real
-// bug. Chaos is injected at fixed, seed-independent points so a
-// quarantined trial's repro command replays the exact same failure
-// standalone.
+// the sweep supervision layer — panic and stall isolation, quarantine —
+// can be exercised on demand instead of waiting for a real bug. Chaos is
+// injected at fixed, seed-independent points so a quarantined trial's
+// repro command replays the exact same failure standalone.
 type ChaosMode uint8
 
 const (
@@ -21,10 +19,10 @@ const (
 	// ChaosPanic panics as the trial's run starts, after the testbed is
 	// assembled — the "bad code path" failure class.
 	ChaosPanic
-	// ChaosHang schedules a self-rescheduling no-op timer loop that never
-	// quiesces — the "wedged simulation" failure class. A StepBudget or
-	// WallDeadline converts it into a loud watchdog error; without either
-	// the trial grinds through ~1e8 events before the duration cap.
+	// ChaosHang schedules a self-rescheduling zero-delay loop: virtual
+	// time stops advancing — the "wedged simulation" failure class. The
+	// scheduler's stall rule converts it into a loud *simtime.StallError
+	// at the same event on every run.
 	ChaosHang
 )
 
@@ -60,12 +58,12 @@ func chaosPanicValue(seed int64) string {
 	return fmt.Sprintf("core: chaos-injected panic (seed %d)", seed)
 }
 
-// armChaosHang installs the self-rescheduling spin loop on the trial's
-// scheduler. It consumes no RNG draws; the extra events make the trial
-// diverge, but a chaos trial is sacrificial by definition.
+// armChaosHang installs the self-rescheduling zero-delay loop on the
+// trial's scheduler. It consumes no RNG draws; the extra events make the
+// trial diverge, but a chaos trial is sacrificial by definition.
 func armChaosHang(sched *simtime.Scheduler) {
 	var spin func()
-	spin = func() { sched.After(time.Microsecond, spin) }
+	spin = func() { sched.After(0, spin) }
 	sched.At(0, spin)
 }
 

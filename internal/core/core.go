@@ -146,26 +146,10 @@ type TrialConfig struct {
 	// An unfired context is observationally invisible — no events, no RNG
 	// draws, byte-identical output.
 	Ctx context.Context
-	// StepBudget, when >0, arms the deterministic per-trial watchdog: the
-	// scheduler panics with *simtime.BudgetError once the trial has fired
-	// this many events, so a wedged simulation (a self-rescheduling timer
-	// loop that never quiesces) dies loudly instead of hanging a sweep
-	// worker. The budget counts virtual events, so it trips at the same
-	// point for the same seed on any host. The supervised sweep engine
-	// recovers the panic into a structured timeout failure; standalone
-	// RunTrial callers see the panic. Normal trials fire well under a
-	// million events, so generous budgets are invisible.
-	StepBudget uint64
-	// WallDeadline, when >0, arms the wall-clock watchdog backstop: the
-	// scheduler panics with *simtime.DeadlineError once this much host
-	// time has elapsed. Nondeterministic by nature (trials it kills are
-	// not byte-reproducible across hosts) — prefer StepBudget; use this
-	// against pathological-but-finite event storms that grind for minutes.
-	WallDeadline time.Duration
 	// Chaos deterministically sabotages the trial so the sweep supervisor
 	// itself can be tested: ChaosPanic panics as the run starts, ChaosHang
-	// schedules a self-rescheduling timer loop that never quiesces (caught
-	// by StepBudget or WallDeadline). ChaosNone (the default) is inert.
+	// schedules a zero-delay loop that the scheduler's stall rule kills
+	// (simtime.StallError). ChaosNone (the default) is inert.
 	Chaos ChaosMode
 	// DeferMetrics suppresses the at-collection publication of the trial's
 	// outcome metrics (PublishTrialMetrics); the caller publishes the
@@ -220,16 +204,9 @@ func newTestbed(cfg TrialConfig, probes probe.Set) (*Testbed, error) {
 		cfg.TCP.Pool = cfg.Pool
 	}
 	sched := simtime.NewScheduler()
-	// Watchdogs and cancellation arm before any component schedules: all
-	// three are pure scheduler-side guards that consume no RNG draws and
-	// schedule no events, so an armed-but-untripped trial stays
-	// byte-identical to an unsupervised one.
-	if cfg.StepBudget > 0 {
-		sched.SetStepBudget(cfg.StepBudget)
-	}
-	if cfg.WallDeadline > 0 {
-		sched.SetWallDeadline(cfg.WallDeadline)
-	}
+	// Cancellation arms before any component schedules: a pure
+	// scheduler-side probe that consumes no RNG draws and schedules no
+	// events, so an unfired context leaves the trial byte-identical.
 	if ctx := cfg.Ctx; ctx != nil {
 		sched.SetInterrupt(func() bool { return ctx.Err() != nil })
 	}
@@ -485,8 +462,8 @@ type TrialResult struct {
 	// otherwise.
 	Fleet *FleetOutcome
 	// Quarantined marks a placeholder result the sweep supervision layer
-	// slotted in for a trial that failed permanently (panic or watchdog
-	// timeout after its retries). Placeholders read as broken loads in the
+	// slotted in for a trial that failed (a panic, or a stall killed by
+	// the scheduler's stall rule). Placeholders read as broken loads in the
 	// reports but are skipped by the metrics publisher; the structured
 	// failure lives in the sweep's quarantine record. See
 	// QuarantinedResult.

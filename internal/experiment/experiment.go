@@ -12,7 +12,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"h2privacy/internal/check"
 	"h2privacy/internal/core"
@@ -102,47 +101,24 @@ type Options struct {
 	// trials that did complete — so a SIGINT-cancelled run still exports
 	// partial manifests, features and check reports.
 	Ctx context.Context
-	// MaxRetries bounds how many times the supervisor re-runs a failed
-	// trial (fresh scheduler/RNG/checker/analyzer each attempt) before
-	// giving up: 0 (default) means one attempt, no retries. A
-	// deterministic failure fails identically every attempt; retries exist
-	// for host-side flakes and for proving the retry path itself.
-	MaxRetries int
-	// RetryBackoff is the wall-clock delay before the first retry,
-	// doubling for each further one; 0 retries immediately. Wall-clock
-	// only — it never touches virtual time or any deterministic output.
-	RetryBackoff time.Duration
-	// TrialDeadline, when > 0, arms a wall-clock watchdog on every trial
-	// attempt (core.TrialConfig.WallDeadline): a simulation grinding past
-	// it is killed with a simtime.DeadlineError. A nondeterministic
-	// backstop against host-side wedges — prefer StepBudget, which trips
-	// deterministically, wherever reproducibility matters.
-	TrialDeadline time.Duration
-	// StepBudget, when > 0, arms a virtual-time watchdog on every trial
-	// attempt (core.TrialConfig.StepBudget): a trial executing more than
-	// this many scheduler events is killed with a simtime.BudgetError at
-	// exactly that event count, identically on every host and worker
-	// count.
-	StepBudget uint64
-	// Quarantine, when non-nil, arms degraded mode: a trial still dead
-	// after its retries is recorded here (with a standalone repro command)
+	// Quarantine, when non-nil, arms degraded mode: a trial that panics,
+	// stalls or errs is recorded here (with a standalone repro command)
 	// and replaced by a placeholder result instead of aborting the sweep.
 	// Nil keeps the historical fail-fast behavior — except that panics now
 	// surface as structured *TrialFailure errors rather than crashing.
 	Quarantine *Quarantine
 	// SuperviseLog, when non-nil, receives the supervisor's diagnostic
-	// lines (per-attempt failure notices and panic stacks); nil writes to
+	// lines (per-trial failure notices and panic stacks); nil writes to
 	// stderr. Host-side diagnostics only — never part of any byte-identical
 	// artifact (stacks carry goroutine IDs and scheduler-dependent frames).
 	SuperviseLog io.Writer
 	// ChaosTrial, when non-nil, deterministically sabotages chosen trials:
-	// called with the flat trial index before every trial *attempt*, its
+	// called with the flat trial index before every trial, its
 	// non-ChaosNone answers are injected as core.TrialConfig.Chaos. This
 	// is the supervisor's own test harness (and the CI chaos lane) — the
-	// same hook at any worker count sabotages the same trials. Consulting
-	// per attempt lets a stateful hook model transient faults that a retry
-	// recovers from; such a hook must be safe for concurrent use by sweep
-	// workers (the cmds' -chaos hook is a pure map lookup).
+	// same hook at any worker count sabotages the same trials. It must be
+	// safe for concurrent use by sweep workers (the cmds' -chaos hook is a
+	// pure map lookup).
 	ChaosTrial func(flat int) core.ChaosMode
 }
 

@@ -38,7 +38,6 @@ func fleetSweepFingerprint(t *testing.T, workers int) []byte {
 		Trials: 3, BaseSeed: 4242, Workers: workers,
 		Metrics: reg, Features: fcol, Check: rec,
 		PoolPoison:   true,
-		MaxRetries:   1,
 		Quarantine:   q,
 		SuperviseLog: io.Discard,
 		ChaosTrial: func(flat int) core.ChaosMode {

@@ -10,7 +10,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 
 	"h2privacy/internal/check"
 	"h2privacy/internal/core"
@@ -22,33 +21,27 @@ import (
 // trial launched by sweep() runs under a supervisor that
 //
 //   1. isolates panics: recover() converts a panicking trial into a
-//      structured TrialFailure instead of tearing down the whole sweep;
-//   2. enforces watchdogs: a virtual-time step budget (Options.StepBudget
-//      → simtime.BudgetError, deterministic) and an optional wall-clock
-//      deadline (Options.TrialDeadline → simtime.DeadlineError,
-//      best-effort) kill wedged simulations loudly instead of hanging;
-//   3. retries failed trials up to Options.MaxRetries times with
-//      escalating backoff (each attempt on fresh per-trial state — new
-//      scheduler, RNG, checker, analyzer — so a deterministic failure
-//      fails identically and a host-side flake gets a clean slate);
-//   4. quarantines trials that stay dead: when Options.Quarantine is
-//      armed, the permanent failure is recorded with its repro command,
-//      a placeholder result keeps the sweep's index-aligned aggregation
-//      total, and the sweep completes in *degraded* mode instead of
-//      aborting.
+//      structured TrialFailure instead of tearing down the whole sweep —
+//      including the scheduler's stall rule (simtime.StallError), which
+//      kills a wedged simulation at the same event on every host;
+//   2. quarantines failed trials: when Options.Quarantine is armed, the
+//      failure is recorded with its repro command, a placeholder result
+//      keeps the sweep's index-aligned aggregation total, and the sweep
+//      completes in *degraded* mode instead of aborting.
+//
+// There are no retries: a trial is a pure function of its seed, so a
+// panic or a stall replays identically and a second attempt could not
+// change the outcome.
 //
 // Determinism contract: supervision is observationally invisible on clean
-// sweeps — watchdogs that never trip schedule nothing and consume no RNG
-// draws, the sweep_trials_* metric families are registered lazily on the
-// first failure, and the quarantine/degraded manifest fields are omitted
-// when empty — so clean output stays byte-identical to the unsupervised
+// sweeps — the stall rule schedules nothing and consumes no RNG draws,
+// the sweep_trials_* metric families are registered lazily on the first
+// failure, and the quarantine/degraded manifest fields are omitted when
+// empty — so clean output stays byte-identical to the unsupervised
 // engine. For identical failure sets the quarantine file, reports, CSVs
 // and manifests are byte-identical at any worker count: failures are
 // collected concurrently but always reported sorted by flat trial index,
-// and panic values, step-budget trips and attempt counts are themselves
-// deterministic. The only documented exception is the wall-clock deadline
-// (a backstop against host-side wedges, not a reproducible observation);
-// its failure detail carries host timing.
+// and panic values and stall trips are themselves deterministic.
 //
 // Without a Quarantine collector the engine keeps its historical
 // fail-fast behavior — lowest-index error wins, sweep aborts — except
@@ -61,24 +54,23 @@ type FailureKind string
 const (
 	// FailPanic: the trial body panicked (a bug, or injected ChaosPanic).
 	FailPanic FailureKind = "panic"
-	// FailTimeout: a watchdog tripped — the virtual-time step budget or
-	// the wall-clock deadline.
+	// FailTimeout: the scheduler's stall rule tripped — virtual time
+	// stopped advancing (simtime.StallError).
 	FailTimeout FailureKind = "timeout"
 	// FailError: core.RunTrial returned an ordinary error.
 	FailError FailureKind = "error"
 )
 
-// TrialFailure is the structured record of a failed trial attempt: which
-// trial (flat sweep index), which seed reproduces it, how it died, how
-// many attempts it was given, and the standalone repro command. It
-// implements error, so the fail-fast path (no Quarantine armed) returns
-// it through the sweep's lowest-index-error-wins machinery.
+// TrialFailure is the structured record of a failed trial: which trial
+// (flat sweep index), which seed reproduces it, how it died, and the
+// standalone repro command. It implements error, so the fail-fast path
+// (no Quarantine armed) returns it through the sweep's
+// lowest-index-error-wins machinery.
 type TrialFailure struct {
-	Trial    int         `json:"trial"`
-	Seed     int64       `json:"seed"`
-	Kind     FailureKind `json:"kind"`
-	Attempts int         `json:"attempts"`
-	Err      string      `json:"error"`
+	Trial int         `json:"trial"`
+	Seed  int64       `json:"seed"`
+	Kind  FailureKind `json:"kind"`
+	Err   string      `json:"error"`
 	// Repro is the standalone command that replays this exact failure;
 	// stamped by the Quarantine collector's formatter (Quarantine.SetRepro,
 	// installed by the cmds the way check.Recorder.SetRepro is).
@@ -89,18 +81,16 @@ type TrialFailure struct {
 
 // Error renders the failure for the fail-fast path and logs.
 func (f *TrialFailure) Error() string {
-	return fmt.Sprintf("trial %d (seed %d) failed [%s] after %d attempt(s): %s",
-		f.Trial, f.Seed, f.Kind, f.Attempts, f.Err)
+	return fmt.Sprintf("trial %d (seed %d) failed [%s]: %s", f.Trial, f.Seed, f.Kind, f.Err)
 }
 
 // Unwrap exposes the underlying error (nil for panics and timeouts).
 func (f *TrialFailure) Unwrap() error { return f.cause }
 
-// Quarantine collects permanently failed trials and arms the sweep's
-// degraded mode: with a non-nil Quarantine in Options, a trial that is
-// still dead after its retries is recorded here — with a repro command —
-// and replaced by a placeholder result (core.QuarantinedResult) so the
-// sweep completes instead of aborting. Safe for concurrent use by sweep
+// Quarantine collects failed trials and arms the sweep's degraded mode:
+// with a non-nil Quarantine in Options, a failed trial is recorded here —
+// with a repro command — and replaced by a placeholder result
+// (core.QuarantinedResult) so the sweep completes instead of aborting. Safe for concurrent use by sweep
 // workers; all accessors report failures sorted by flat trial index so
 // every derived artifact is byte-identical at any worker count.
 type Quarantine struct {
@@ -124,7 +114,7 @@ func (q *Quarantine) SetRepro(fn func(TrialFailure) string) {
 	q.mu.Unlock()
 }
 
-// add records one permanent failure, stamping its repro command.
+// add records one failure, stamping its repro command.
 func (q *Quarantine) add(f TrialFailure) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -162,9 +152,9 @@ func (q *Quarantine) Failures() []TrialFailure {
 }
 
 // QuarantineReceipt is the manifest's quarantine summary: how many trials
-// were lost and the full failure records. Derived from seeds, panic
-// values and deterministic attempt counts, so StripWallClock keeps it —
-// same failure sets must agree on it at any worker count.
+// were lost and the full failure records. Derived from seeds and panic
+// values, so StripWallClock keeps it — same failure sets must agree on it
+// at any worker count.
 type QuarantineReceipt struct {
 	Quarantined int            `json:"quarantined"`
 	Failures    []TrialFailure `json:"failures"`
@@ -192,7 +182,7 @@ type quarantineFile struct {
 func (q *Quarantine) WriteJSON(w io.Writer, tool string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(quarantineFile{Version: 1, Tool: tool, Failures: q.Failures()})
+	return enc.Encode(quarantineFile{Version: 2, Tool: tool, Failures: q.Failures()})
 }
 
 // WriteFile writes the quarantine artifact to path.
@@ -212,12 +202,11 @@ func (q *Quarantine) WriteFile(path, tool string) error {
 // never for a clean sweep — so an armed-but-untouched supervisor leaves
 // the registry snapshot byte-identical to the unsupervised engine's
 // (obs.Registry.Snapshot sorts families by name, so late registration
-// cannot perturb ordering either). All four are integer counters bumped
+// cannot perturb ordering either). All three are integer counters bumped
 // from worker goroutines; counts are deterministic for a given failure
 // set, order of increments is not observable.
 const (
 	mfPanicked    = "sweep_trials_panicked"
-	mfRetried     = "sweep_trials_retried"
 	mfQuarantined = "sweep_trials_quarantined"
 	mfTimedout    = "sweep_trials_timedout"
 )
@@ -239,107 +228,54 @@ func (o Options) superviseLogW() io.Writer {
 }
 
 // isCancellation reports whether err is cooperative-cancellation fallout
-// rather than a trial failure: cancelled trials are never retried,
-// quarantined or counted — the sweep drains and returns the context
-// error.
+// rather than a trial failure: cancelled trials are never quarantined or
+// counted — the sweep drains and returns the context error.
 func isCancellation(err error) bool {
 	return err != nil &&
 		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
 // superviseTrial runs one fully-decorated trial config under the
-// supervisor: panic isolation, up to 1+MaxRetries attempts with
-// escalating backoff, then quarantine (degraded mode) or a structured
-// fail-fast error. Per-attempt collaborators (checker, flow analyzer)
-// are created fresh inside the attempt loop so a retry never inherits a
-// half-poisoned shadow state; the cross-layer tracer is only ever armed
-// on the first attempt so a retry cannot interleave into its ring buffer.
+// supervisor: chaos injection and the per-trial collaborators (checker,
+// flow analyzer), panic and stall isolation, then quarantine (degraded
+// mode) or a structured fail-fast error.
 func (o Options) superviseTrial(flat int, cfg core.TrialConfig) (*core.TrialResult, error) {
-	attempts := 1 + o.MaxRetries
-	if attempts < 1 {
-		attempts = 1
+	if o.ChaosTrial != nil && cfg.Chaos == core.ChaosNone {
+		cfg.Chaos = o.ChaosTrial(flat)
 	}
-	var last *TrialFailure
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			if err := o.retryBackoff(attempt); err != nil {
-				return nil, err
-			}
-			o.countFailure(mfRetried, "Trial attempts that were retries after a failed attempt.")
-		}
-		acfg := cfg
-		if attempt > 1 {
-			acfg.Trace = nil
-		}
-		// Fault injection is consulted per attempt, not per trial, so a
-		// stateful hook can model transient faults ("attempt 1 dies,
-		// attempt 2 is clean") — the scenario retries exist for. The cmds'
-		// -chaos hook is a pure index lookup, so for it per-attempt and
-		// per-trial are indistinguishable.
-		if o.ChaosTrial != nil && acfg.Chaos == core.ChaosNone {
-			acfg.Chaos = o.ChaosTrial(flat)
-		}
-		if o.Check != nil && acfg.Check == nil {
-			acfg.Check = check.New(cfg.Seed, flat, o.Check)
-		}
-		if o.Features != nil && acfg.Flows == nil {
-			acfg.Flows = flowseq.New(flat, o.Features)
-		}
-		res, fail := o.attemptTrial(acfg, flat, attempt)
-		if fail == nil {
-			return res, nil
-		}
-		if isCancellation(fail.cause) {
-			return nil, fail.cause
-		}
-		last = fail
+	if o.Check != nil && cfg.Check == nil {
+		cfg.Check = check.New(cfg.Seed, flat, o.Check)
 	}
-	last.Attempts = attempts
+	if o.Features != nil && cfg.Flows == nil {
+		cfg.Flows = flowseq.New(flat, o.Features)
+	}
+	res, fail := o.isolateTrial(cfg, flat)
+	if fail == nil {
+		return res, nil
+	}
+	if isCancellation(fail.cause) {
+		return nil, fail.cause
+	}
 	if o.Quarantine == nil {
 		// Fail-fast mode: the structured failure feeds the engine's
 		// lowest-index-error-wins machinery, exactly like a plain error
 		// always has.
-		return nil, last
+		return nil, fail
 	}
-	o.Quarantine.add(*last)
-	o.countFailure(mfQuarantined, "Trials permanently failed and quarantined after exhausting retries.")
-	return core.QuarantinedResult(cfg.Seed, last.Err), nil
+	o.Quarantine.add(*fail)
+	o.countFailure(mfQuarantined, "Trials that failed and were quarantined.")
+	return core.QuarantinedResult(cfg.Seed, fail.Err), nil
 }
 
-// retryBackoff sleeps the escalating inter-attempt delay (RetryBackoff,
-// doubled per further retry), interruptible by Options.Ctx.
-func (o Options) retryBackoff(attempt int) error {
-	if o.RetryBackoff <= 0 {
-		if o.Ctx != nil && o.Ctx.Err() != nil {
-			return o.Ctx.Err()
-		}
-		return nil
-	}
-	d := o.RetryBackoff << uint(attempt-2)
-	if o.Ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-o.Ctx.Done():
-		return o.Ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// attemptTrial executes one attempt with panic isolation. A recovered
-// panic is classified — watchdog trips (simtime.BudgetError /
-// DeadlineError) as FailTimeout, everything else as FailPanic — and the
-// attempt's checker is abandoned so violations recorded before the
-// failure still reach the shared recorder (without the end-of-trial
-// conservation checks, which would fire spuriously on mid-flight state).
-// Goroutine stacks print to stderr only: they are not deterministic
-// across worker counts and must stay out of every byte-identical
-// artifact.
-func (o Options) attemptTrial(cfg core.TrialConfig, flat, attempt int) (res *core.TrialResult, fail *TrialFailure) {
+// isolateTrial runs one trial with panic isolation. A recovered panic is
+// classified — stall-rule trips (simtime.StallError) as FailTimeout,
+// everything else as FailPanic — and the trial's checker is abandoned so
+// violations recorded before the failure still reach the shared recorder
+// (without the end-of-trial conservation checks, which would fire
+// spuriously on mid-flight state). Goroutine stacks print to stderr only:
+// they are not deterministic across worker counts and must stay out of
+// every byte-identical artifact.
+func (o Options) isolateTrial(cfg core.TrialConfig, flat int) (res *core.TrialResult, fail *TrialFailure) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -348,27 +284,22 @@ func (o Options) attemptTrial(cfg core.TrialConfig, flat, attempt int) (res *cor
 		res = nil
 		cfg.Check.Abandon()
 		kind := FailPanic
-		switch r.(type) {
-		case *simtime.BudgetError, *simtime.DeadlineError:
+		if _, ok := r.(*simtime.StallError); ok {
 			kind = FailTimeout
-			o.countFailure(mfTimedout, "Trial attempts killed by a watchdog (step budget or wall deadline).")
-		default:
-			o.countFailure(mfPanicked, "Trial attempts that panicked.")
+			o.countFailure(mfTimedout, "Trials killed by the scheduler's stall rule.")
+		} else {
+			o.countFailure(mfPanicked, "Trials that panicked.")
 		}
 		w := o.superviseLogW()
-		fmt.Fprintf(w, "sweep: trial %d (seed %d) %s on attempt %d: %v\n",
-			flat, cfg.Seed, kind, attempt, r)
+		fmt.Fprintf(w, "sweep: trial %d (seed %d) %s: %v\n", flat, cfg.Seed, kind, r)
 		if kind == FailPanic {
 			w.Write(debug.Stack())
 		}
-		fail = &TrialFailure{Trial: flat, Seed: cfg.Seed, Kind: kind, Attempts: attempt, Err: fmt.Sprint(r)}
+		fail = &TrialFailure{Trial: flat, Seed: cfg.Seed, Kind: kind, Err: fmt.Sprint(r)}
 	}()
 	res, err := core.RunTrial(cfg)
 	if err != nil {
-		return nil, &TrialFailure{
-			Trial: flat, Seed: cfg.Seed, Kind: FailError,
-			Attempts: attempt, Err: err.Error(), cause: err,
-		}
+		return nil, &TrialFailure{Trial: flat, Seed: cfg.Seed, Kind: FailError, Err: err.Error(), cause: err}
 	}
 	return res, nil
 }

@@ -7,17 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"testing"
-	"time"
 
 	"h2privacy/internal/core"
 	"h2privacy/internal/obs"
 )
-
-// superviseStepBudget comfortably covers a full attack trial (~12.3k
-// scheduler events) while letting the chaos-hang spin loop trip fast.
-const superviseStepBudget = 50_000
 
 // resultDigest serializes the deterministic core of a result slice —
 // nil/quarantined markers plus the fields the reports aggregate — so two
@@ -57,8 +51,8 @@ func snapshotJSON(t *testing.T, reg *obs.Registry) []byte {
 }
 
 // chaosSweep runs the acceptance scenario — 16 trials, an injected panic
-// at flat index 3 and an injected hang at 11, one retry each — in degraded
-// mode and returns every byte-identity-relevant artifact.
+// at flat index 3 and an injected hang at 11 — in degraded mode and
+// returns every byte-identity-relevant artifact.
 func chaosSweep(t *testing.T, workers int) (digest, quarJSON, manifestJSON []byte, q *Quarantine, reg *obs.Registry) {
 	t.Helper()
 	reg = obs.NewRegistry()
@@ -70,8 +64,6 @@ func chaosSweep(t *testing.T, workers int) (digest, quarJSON, manifestJSON []byt
 		BaseSeed:     300,
 		Workers:      workers,
 		Metrics:      reg,
-		StepBudget:   superviseStepBudget,
-		MaxRetries:   1,
 		Quarantine:   q,
 		SuperviseLog: io.Discard,
 		ChaosTrial: func(flat int) core.ChaosMode {
@@ -106,8 +98,8 @@ func chaosSweep(t *testing.T, workers int) (digest, quarJSON, manifestJSON []byt
 
 // TestChaosSweepCompletesDegraded pins the tentpole end to end: a sweep
 // with one panicking and one hanging trial completes in degraded mode —
-// 14 real results, 2 quarantined placeholders with classified failures,
-// attempt counts and repro commands — instead of crashing or hanging.
+// 14 real results, 2 quarantined placeholders with classified failures
+// and repro commands — instead of crashing or hanging.
 func TestChaosSweepCompletesDegraded(t *testing.T) {
 	digest, quarJSON, manifestJSON, q, reg := chaosSweep(t, 1)
 	if n := bytes.Count(digest, []byte("quarantined=false")); n != 14 {
@@ -126,27 +118,27 @@ func TestChaosSweepCompletesDegraded(t *testing.T) {
 		if f.Trial != want.trial || f.Seed != want.seed || f.Kind != want.kind {
 			t.Fatalf("failure[%d] = %+v, want trial %d seed %d kind %s", i, f, want.trial, want.seed, want.kind)
 		}
-		if f.Attempts != 2 {
-			t.Fatalf("failure[%d].Attempts = %d, want 2 (1 + MaxRetries)", i, f.Attempts)
-		}
 		if f.Repro != fmt.Sprintf("replay -seed %d -trial %d", f.Seed, f.Trial) {
 			t.Fatalf("failure[%d].Repro = %q", i, f.Repro)
 		}
 	}
-	// The hang died deterministically at the step budget, not a wall clock.
-	if !bytes.Contains(quarJSON, []byte("step budget exceeded")) {
-		t.Fatalf("timeout failure lacks the budget error:\n%s", quarJSON)
+	// The hang died deterministically at the stall rule's limit.
+	if !bytes.Contains(quarJSON, []byte("simtime: stalled: over 65536 events within 1ms of virtual time")) {
+		t.Fatalf("timeout failure lacks the stall error:\n%s", quarJSON)
 	}
-	if !bytes.Contains(quarJSON, []byte(`"version": 1`)) {
+	if bytes.Contains(quarJSON, []byte("attempts")) {
+		t.Fatalf("quarantine file still carries attempt counts:\n%s", quarJSON)
+	}
+	if !bytes.Contains(quarJSON, []byte(`"version": 2`)) {
 		t.Fatalf("quarantine file lacks its version tag:\n%s", quarJSON)
 	}
-	// Each bad trial failed twice (original + retry): the metric families
-	// agree, and quarantined counts trials, not attempts.
+	// Each bad trial failed once; the metric families agree, and there
+	// is no retry family (-1: never registered).
 	snap := reg.Snapshot()
 	for name, want := range map[string]float64{
-		"sweep_trials_panicked":    2,
-		"sweep_trials_timedout":    2,
-		"sweep_trials_retried":     2,
+		"sweep_trials_panicked":    1,
+		"sweep_trials_timedout":    1,
+		"sweep_trials_retried":     -1,
 		"sweep_trials_quarantined": 2,
 	} {
 		if got := counterValue(snap, name); got != want {
@@ -197,9 +189,8 @@ func cleanSweep(t *testing.T, opts Options) ([]byte, []byte) {
 }
 
 // TestCleanSweepSupervisionInvisible pins the clean-sweep half of the
-// determinism contract: arming every supervision knob — watchdogs,
-// retries, quarantine, cancellation — changes nothing observable when no
-// trial fails. Results and the full registry snapshot stay byte-identical
+// determinism contract: arming supervision — quarantine, cancellation —
+// changes nothing observable when no trial fails. Results and the full registry snapshot stay byte-identical
 // to the bare engine's, and no sweep_trials_* family is ever registered.
 func TestCleanSweepSupervisionInvisible(t *testing.T) {
 	bare := Options{BaseSeed: 40, Workers: 1, Metrics: obs.NewRegistry()}
@@ -207,16 +198,12 @@ func TestCleanSweepSupervisionInvisible(t *testing.T) {
 
 	q := NewQuarantine()
 	armed := Options{
-		BaseSeed:      40,
-		Workers:       4,
-		Metrics:       obs.NewRegistry(),
-		Ctx:           context.Background(),
-		StepBudget:    superviseStepBudget,
-		TrialDeadline: time.Minute,
-		MaxRetries:    2,
-		RetryBackoff:  time.Millisecond,
-		Quarantine:    q,
-		SuperviseLog:  io.Discard,
+		BaseSeed:     40,
+		Workers:      4,
+		Metrics:      obs.NewRegistry(),
+		Ctx:          context.Background(),
+		Quarantine:   q,
+		SuperviseLog: io.Discard,
 	}
 	armedDigest, armedSnap := cleanSweep(t, armed)
 
@@ -234,59 +221,8 @@ func TestCleanSweepSupervisionInvisible(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversTransientFault drives the retry path to success: a
-// stateful chaos hook panics trial 5's first attempt only, so the retry —
-// on fresh per-trial state — must produce the exact result a never-failed
-// run produces, with nothing quarantined.
-func TestRetryRecoversTransientFault(t *testing.T) {
-	bare := Options{BaseSeed: 70, Workers: 1, Metrics: obs.NewRegistry()}
-	bareDigest, _ := cleanSweep(t, bare)
-
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		sabotaged := false
-		q := NewQuarantine()
-		reg := obs.NewRegistry()
-		opts := Options{
-			BaseSeed:     70,
-			Workers:      workers,
-			Metrics:      reg,
-			StepBudget:   superviseStepBudget,
-			MaxRetries:   1,
-			Quarantine:   q,
-			SuperviseLog: io.Discard,
-			ChaosTrial: func(flat int) core.ChaosMode {
-				mu.Lock()
-				defer mu.Unlock()
-				if flat == 5 && !sabotaged {
-					sabotaged = true
-					return core.ChaosPanic
-				}
-				return core.ChaosNone
-			},
-		}
-		digest, _ := cleanSweep(t, opts)
-		if !bytes.Equal(digest, bareDigest) {
-			t.Fatalf("workers=%d: retried sweep differs from clean run:\n--- clean ---\n%s\n--- retried ---\n%s", workers, bareDigest, digest)
-		}
-		if q.Len() != 0 {
-			t.Fatalf("workers=%d: transient fault was quarantined: %+v", workers, q.Failures())
-		}
-		snap := reg.Snapshot()
-		if got := counterValue(snap, "sweep_trials_panicked"); got != 1 {
-			t.Fatalf("workers=%d: sweep_trials_panicked = %v, want 1", workers, got)
-		}
-		if got := counterValue(snap, "sweep_trials_retried"); got != 1 {
-			t.Fatalf("workers=%d: sweep_trials_retried = %v, want 1", workers, got)
-		}
-		if got := counterValue(snap, "sweep_trials_quarantined"); got != -1 {
-			t.Fatalf("workers=%d: quarantined family registered (= %v) with nothing quarantined", workers, got)
-		}
-	}
-}
-
 // TestCancelledSweepDrainsPartial pins cooperative cancellation: a context
-// cancelled mid-sweep stops the engine without retry or quarantine fallout,
+// cancelled mid-sweep stops the engine without quarantine fallout,
 // and the partial results are returned alongside the context error so the
 // caller can export what completed.
 func TestCancelledSweepDrainsPartial(t *testing.T) {
@@ -298,11 +234,9 @@ func TestCancelledSweepDrainsPartial(t *testing.T) {
 		Workers:      1,
 		Metrics:      obs.NewRegistry(),
 		Ctx:          ctx,
-		StepBudget:   superviseStepBudget,
-		MaxRetries:   3,
 		Quarantine:   q,
 		SuperviseLog: io.Discard,
-		// The hook doubles as a deterministic trip wire: trial 4's attempt
+		// The hook doubles as a deterministic trip wire: trial 4's lookup
 		// cancels the sweep before it runs.
 		ChaosTrial: func(flat int) core.ChaosMode {
 			if flat == 4 {
@@ -333,8 +267,8 @@ func TestCancelledSweepDrainsPartial(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("cancellation was quarantined: %+v", q.Failures())
 	}
-	if got := counterValue(opts.Metrics.Snapshot(), "sweep_trials_retried"); got != -1 {
-		t.Fatalf("cancelled trial was retried (%v retries)", got)
+	if snap := snapshotJSON(t, opts.Metrics); bytes.Contains(snap, []byte("sweep_trials_")) {
+		t.Fatalf("cancelled trial was counted as a failure:\n%s", snap)
 	}
 }
 
@@ -348,7 +282,6 @@ func TestFailFastLowestIndexPanic(t *testing.T) {
 			opts := Options{
 				BaseSeed:     500,
 				Workers:      workers,
-				StepBudget:   superviseStepBudget,
 				SuperviseLog: io.Discard,
 				ChaosTrial: func(flat int) core.ChaosMode {
 					if flat >= 3 {
@@ -364,7 +297,7 @@ func TestFailFastLowestIndexPanic(t *testing.T) {
 			if !errors.As(err, &tf) {
 				t.Fatalf("workers=%d round %d: err = %v, want *TrialFailure", workers, round, err)
 			}
-			if tf.Trial != 3 || tf.Seed != 503 || tf.Kind != FailPanic || tf.Attempts != 1 {
+			if tf.Trial != 3 || tf.Seed != 503 || tf.Kind != FailPanic {
 				t.Fatalf("workers=%d round %d: failure = %+v, want trial 3 seed 503 panic", workers, round, tf)
 			}
 		}
@@ -377,8 +310,8 @@ func TestFailFastLowestIndexPanic(t *testing.T) {
 // artifact carries its version tag.
 func TestQuarantineArtifactShape(t *testing.T) {
 	q := NewQuarantine()
-	q.add(TrialFailure{Trial: 9, Seed: 109, Kind: FailTimeout, Attempts: 1, Err: "budget"})
-	q.add(TrialFailure{Trial: 2, Seed: 102, Kind: FailPanic, Attempts: 2, Err: "boom"})
+	q.add(TrialFailure{Trial: 9, Seed: 109, Kind: FailTimeout, Err: "stalled"})
+	q.add(TrialFailure{Trial: 2, Seed: 102, Kind: FailPanic, Err: "boom"})
 	fails := q.Failures()
 	if len(fails) != 2 || fails[0].Trial != 2 || fails[1].Trial != 9 {
 		t.Fatalf("failures not sorted by trial index: %+v", fails)
@@ -402,7 +335,7 @@ func TestQuarantineArtifactShape(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
 		t.Fatalf("quarantine artifact is not valid JSON: %v\n%s", err, buf.Bytes())
 	}
-	if file.Version != 1 || file.Tool != "unit" || len(file.Failures) != 2 {
+	if file.Version != 2 || file.Tool != "unit" || len(file.Failures) != 2 {
 		t.Fatalf("artifact = %+v", file)
 	}
 }

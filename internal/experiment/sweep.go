@@ -191,21 +191,14 @@ func (o Options) sweep(n, arity int, cfgs func(t int) []core.TrialConfig) ([]*co
 				cfg.Metrics = o.Metrics
 				cfg.DeferMetrics = cfg.Metrics != nil
 			}
-			// Supervision plumbing: cancellation, watchdogs and fault
-			// injection. All zero-cost no-ops when unarmed, so a plain
-			// sweep's trials are configured exactly as before. The
-			// per-attempt collaborators (checker, flow analyzer — keyed by
-			// the trial's own seedFor-derived seed and flat index so repro
-			// lines and export order stay exact) are created inside
-			// superviseTrial's attempt loop, fresh per attempt.
+			// Cancellation is a zero-cost no-op when unarmed, so a plain
+			// sweep's trials are configured exactly as before. Fault
+			// injection and the per-trial collaborators (checker, flow
+			// analyzer — keyed by the trial's own seedFor-derived seed and
+			// flat index so repro lines and export order stay exact) are
+			// added inside superviseTrial.
 			if cfg.Ctx == nil {
 				cfg.Ctx = o.Ctx
-			}
-			if cfg.StepBudget == 0 {
-				cfg.StepBudget = o.StepBudget
-			}
-			if cfg.WallDeadline == 0 {
-				cfg.WallDeadline = o.TrialDeadline
 			}
 			res, err := o.superviseTrial(flat, cfg)
 			o.Progress.Tick()

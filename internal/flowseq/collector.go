@@ -20,8 +20,7 @@ import (
 // order-independent, so a live scrape shows the sweep advance — while the
 // order-sensitive families (histograms, labeled totals) publish deferred
 // and in trial-index order through PublishFeatures.
-// flowKey identifies one flow of one trial; retried trials overwrite
-// their failed attempt's rows key by key.
+// flowKey identifies one flow of one trial.
 type flowKey struct {
 	trial int
 	flow  string

@@ -9,12 +9,14 @@ import (
 )
 
 // schedModel is the reference the scheduler is checked against: a sorted
-// slice of pending events ordered by (at, seq), a step counter, and the
-// free list as a LIFO stack of fired handles.
+// slice of pending events ordered by (at, seq), a step counter, the stall
+// window, and the free list as a LIFO stack of fired handles.
 type schedModel struct {
 	now      time.Duration
 	seq      uint64
 	steps    uint64
+	winEnd   time.Duration // end of the stall window
+	winRun   int           // events fired in the stall window
 	pending  []modelEvent
 	free     []*Event        // fired handles, most recent last
 	occupant map[*Event]int  // handle → id of the pending event using it
@@ -32,15 +34,26 @@ type modelEvent struct {
 	ev  *Event
 }
 
-// fire records the model's earliest pending event as fired.
-func (m *schedModel) fire() {
+// fire records the model's earliest pending event as fired. It reports
+// false, leaving the event pending and restarting the window, when the
+// event would put more than stallLimit fires into one stall window.
+func (m *schedModel) fire() bool {
 	e := m.pending[0]
+	if e.at >= m.winEnd {
+		m.winEnd = e.at + stallWindow
+		m.winRun = 0
+	}
+	if m.winRun++; m.winRun > stallLimit {
+		m.winRun = 0
+		return false
+	}
 	m.pending = m.pending[1:]
 	m.steps++
 	m.now = e.at
 	m.want = append(m.want, e.id)
 	delete(m.occupant, e.ev)
 	m.free = append(m.free, e.ev)
+	return true
 }
 
 // runModelProgram drives a Scheduler and the model through n random ops
@@ -65,8 +78,7 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 	record := func(v any) { m.fired = append(m.fired, v.(int)) }
 	nextID := 0
 
-	schedule := func(kind int) bool {
-		at := s.Now() + offsets[r.Intn(len(offsets))]
+	schedule := func(kind int, at time.Duration) bool {
 		id := nextID
 		nextID++
 		var ev *Event
@@ -122,10 +134,45 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 		m.dead[ev] = true
 	}
 
+	// One program in 32 piles enough events onto Now, at one random op,
+	// to overfill the stall window.
+	stallOp := -1
+	if r.Intn(32) == 0 {
+		stallOp = r.Intn(n)
+	}
+	checked := 0
 	for op := 0; op < n; op++ {
 		switch c := r.Intn(20); {
+		case op == stallOp:
+			// Stall trip: Run fires until the window holds stallLimit
+			// events; the event that would exceed it stays pending with
+			// its seq.
+			for i, pile := 0, stallLimit+r.Intn(3); i < pile; i++ {
+				if !schedule(r.Intn(3), s.Now()) {
+					return false
+				}
+			}
+			tripped := func() (tripped bool) {
+				defer func() {
+					if rec := recover(); rec != nil {
+						if _, ok := rec.(*StallError); !ok {
+							panic(rec)
+						}
+						tripped = true
+					}
+				}()
+				s.Run()
+				return false
+			}()
+			wantTrip := false
+			for len(m.pending) > 0 && !wantTrip {
+				wantTrip = !m.fire()
+			}
+			if tripped != wantTrip {
+				return fail("stall trip = %v, want %v", tripped, wantTrip)
+			}
 		case c < 9:
-			if !schedule(c % 3) {
+			if !schedule(c%3, s.Now()+offsets[r.Intn(len(offsets))]) {
 				return false
 			}
 		case c < 13:
@@ -142,7 +189,7 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 			if ran {
 				m.fire()
 			}
-		case c < 18:
+		default:
 			deadline := s.Now() + offsets[r.Intn(len(offsets))]
 			s.RunUntil(deadline)
 			for len(m.pending) > 0 && m.pending[0].at <= deadline {
@@ -150,36 +197,6 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 			}
 			if m.now < deadline {
 				m.now = deadline
-			}
-		default:
-			// Budget trip: allow k more fires; the event that would be
-			// fired next stays pending with its seq.
-			k := uint64(1 + r.Intn(3))
-			s.SetStepBudget(s.Steps() + k)
-			tripped := func() (tripped bool) {
-				defer func() {
-					if rec := recover(); rec != nil {
-						if _, ok := rec.(*BudgetError); !ok {
-							panic(rec)
-						}
-						tripped = true
-					}
-				}()
-				s.Run()
-				return false
-			}()
-			s.SetStepBudget(0)
-			wantTrip := uint64(len(m.pending)) > k
-			if tripped != wantTrip {
-				return fail("budget trip = %v, want %v (k=%d, %d pending)", tripped, wantTrip, k, len(m.pending))
-			}
-			for i := uint64(0); i < k && len(m.pending) > 0; i++ {
-				m.fire()
-			}
-			if !wantTrip {
-				for len(m.pending) > 0 {
-					m.fire()
-				}
 			}
 		}
 		if s.Now() != m.now || s.Len() != len(m.pending) || s.Steps() != m.steps {
@@ -189,9 +206,9 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 		if len(m.fired) != len(m.want) {
 			return fail("op %d: %d events fired, model %d", op, len(m.fired), len(m.want))
 		}
-		for i := range m.want {
-			if m.fired[i] != m.want[i] {
-				return fail("op %d: firing order %v, model %v", op, m.fired, m.want)
+		for ; checked < len(m.want); checked++ {
+			if m.fired[checked] != m.want[checked] {
+				return fail("op %d: firing order diverges at %d: %d, model %d", op, checked, m.fired[checked], m.want[checked])
 			}
 		}
 	}
@@ -200,7 +217,7 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 	// event whose step lands on the poll boundary is counted, pushed back
 	// and stays pending; the run stops there for good.
 	for len(m.pending) < pollEvery+64 {
-		if !schedule(r.Intn(3)) {
+		if !schedule(r.Intn(3), s.Now()+offsets[r.Intn(len(offsets))]) {
 			return false
 		}
 	}
@@ -233,7 +250,7 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 
 // TestSchedulerMatchesModel checks random op sequences — At/AtArg/After
 // at heavily tied times, Cancel of pending, cancelled and fired (possibly
-// recycled) handles, Step, RunUntil, a step-budget trip and a final
+// recycled) handles, Step, RunUntil, a stall-rule trip and a final
 // interrupt — against a sorted-slice reference ordered by (at, seq),
 // including the free list's reuse order.
 func TestSchedulerMatchesModel(t *testing.T) {

@@ -425,89 +425,68 @@ func TestSchedulerAtArgAllocs(t *testing.T) {
 	}
 }
 
-// TestStepBudgetTripsSelfReschedulingLoop is the watchdog regression
-// test: a timer callback that always reschedules itself would run Run()
-// forever; with a step budget armed the scheduler must panic with a
-// typed *BudgetError at exactly the budgeted event count — an error, not
-// a hang.
-func TestStepBudgetTripsSelfReschedulingLoop(t *testing.T) {
-	s := NewScheduler()
-	s.SetStepBudget(10_000)
-	var spins int
-	var spin func()
-	spin = func() {
-		spins++
-		s.After(time.Microsecond, spin)
-	}
-	s.After(0, spin)
-	defer func() {
-		r := recover()
-		be, ok := r.(*BudgetError)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want *BudgetError", r, r)
-		}
-		if be.Steps != 10_000 {
-			t.Fatalf("budget tripped at %d steps, want exactly 10000", be.Steps)
-		}
-		if spins != 10_000 {
-			t.Fatalf("callback ran %d times before the trip, want 10000", spins)
-		}
-		if s.Steps() != 10_000 {
-			t.Fatalf("Steps() = %d after the trip, want 10000", s.Steps())
-		}
-	}()
-	s.Run()
-	t.Fatal("Run returned: the self-rescheduling loop drained without tripping the budget")
-}
-
-// TestStepBudgetInvisibleUnderBudget pins that an armed-but-untripped
-// budget changes nothing: same firing order, same clock, no panic. This
-// is the supervision invisibility contract at the scheduler layer.
-func TestStepBudgetInvisibleUnderBudget(t *testing.T) {
-	run := func(budget uint64) ([]int, time.Duration) {
-		s := NewScheduler()
-		if budget > 0 {
-			s.SetStepBudget(budget)
-		}
-		var got []int
-		s.At(30*time.Millisecond, func() { got = append(got, 3) })
-		s.At(10*time.Millisecond, func() { got = append(got, 1) })
-		s.At(20*time.Millisecond, func() { got = append(got, 2) })
+// TestStallTrips is the stall rule's regression test: a loop that stops
+// virtual time (zero delay) or creeps too slowly to matter (1 ns) panics
+// with a typed *StallError — an error, not a hang — at the same event on
+// every run, while a 1 µs chain and the cross-traffic queue depth
+// (BenchmarkSchedulerDepth512's pattern) run to completion.
+func TestStallTrips(t *testing.T) {
+	stall := func(step time.Duration) (se *StallError, s *Scheduler) {
+		s = NewScheduler()
+		var spin func()
+		spin = func() { s.After(step, spin) }
+		s.After(0, spin)
+		defer func() { se, _ = recover().(*StallError) }()
 		s.Run()
-		return got, s.Now()
+		return nil, s
 	}
-	plain, plainNow := run(0)
-	budgeted, budgetedNow := run(1 << 20)
-	if len(plain) != len(budgeted) || plainNow != budgetedNow {
-		t.Fatalf("budgeted run diverged: %v@%v vs %v@%v", budgeted, budgetedNow, plain, plainNow)
-	}
-	for i := range plain {
-		if plain[i] != budgeted[i] {
-			t.Fatalf("budgeted run reordered events: %v vs %v", budgeted, plain)
+	for _, step := range []time.Duration{0, time.Nanosecond} {
+		se, s := stall(step)
+		if se == nil {
+			t.Fatalf("step %v: Run ended without a *StallError", step)
+		}
+		if s.Steps() != stallLimit || se.Steps != s.Steps() || se.Now != s.Now() {
+			t.Fatalf("step %v: tripped at %d@%v (error says %d@%v), want %d events",
+				step, s.Steps(), s.Now(), se.Steps, se.Now, stallLimit)
+		}
+		if want := time.Duration(stallLimit-1) * step; s.Now() != want {
+			t.Fatalf("step %v: tripped at virtual time %v, want %v", step, s.Now(), want)
+		}
+		if s.Len() != 1 {
+			t.Fatalf("step %v: %d pending after the trip, want the tripping event back in the queue", step, s.Len())
+		}
+		if se2, s2 := stall(step); se2 == nil || *se2 != *se || s2.Steps() != s.Steps() || s2.Now() != s.Now() {
+			t.Fatalf("step %v: repeat run tripped at %d@%v, first at %d@%v", step, s2.Steps(), s2.Now(), s.Steps(), s.Now())
 		}
 	}
-}
 
-// TestWallDeadlineTripsGrindingRun covers the nondeterministic backstop:
-// a run that keeps stepping past its wall deadline panics with
-// *DeadlineError at the next poll boundary.
-func TestWallDeadlineTripsGrindingRun(t *testing.T) {
 	s := NewScheduler()
-	s.SetWallDeadline(time.Nanosecond) // already expired by the first poll
-	var spin func()
-	spin = func() { s.After(time.Microsecond, spin) }
-	s.After(0, spin)
-	defer func() {
-		de, ok := recover().(*DeadlineError)
-		if !ok {
-			t.Fatalf("recovered %T, want *DeadlineError", de)
+	var n int
+	var tick func()
+	tick = func() {
+		if n++; n < 4*stallLimit {
+			s.After(time.Microsecond, tick)
 		}
-		if de.Limit != time.Nanosecond {
-			t.Fatalf("DeadlineError.Limit = %v, want the configured 1ns", de.Limit)
-		}
-	}()
+	}
+	s.After(0, tick)
 	s.Run()
-	t.Fatal("Run returned despite an expired wall deadline")
+	if n != 4*stallLimit {
+		t.Fatalf("1 µs chain fired %d events, want %d", n, 4*stallLimit)
+	}
+
+	s = NewScheduler()
+	rng := NewRand(1)
+	var fire func(any)
+	fire = func(any) { s.AfterArg(rng.Exponential(time.Millisecond), fire, nil) }
+	for i := 0; i < 520; i++ {
+		s.AfterArg(rng.Exponential(time.Millisecond), fire, nil)
+	}
+	for i := 0; i < 1<<20; i++ {
+		s.Step()
+	}
+	if s.Len() != 520 {
+		t.Fatalf("depth-520 run drifted to %d pending", s.Len())
+	}
 }
 
 // TestInterruptStopsRunCooperatively: the interrupt probe stops the run
