@@ -56,8 +56,9 @@ func TestSuperviseFlagsDefaults(t *testing.T) {
 
 // TestDefaultSupervisionKeepsBusyTrial pins that a trial which is busy
 // but never wedged survives default supervision: flat index 50 of
-// crosstraffic (the first 300 Mbps trial, ~7.5M events over 120 s of
-// virtual time) was once quarantined by a 5M-event step budget.
+// crosstraffic (the first 300 Mbps trial) was once quarantined by a
+// 5M-event step budget, when its generator ran to the 40 s cap (7.5M
+// events). Stopping at idle, it fires 3.6M events over ~20 s.
 func TestDefaultSupervisionKeepsBusyTrial(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	var sf SuperviseFlags

@@ -177,7 +177,10 @@ type Testbed struct {
 	Controller *adversary.Controller
 	Driver     *adversary.Driver
 	Injector   *netsim.Injector
-	cfg        TrialConfig
+	// CrossTraffic is the background-load generator; nil without
+	// TrialConfig.CrossTrafficBps.
+	CrossTraffic *netsim.CrossTraffic
+	cfg          TrialConfig
 }
 
 // probes returns the trial-level hooks as the target flow's probe set.
@@ -237,10 +240,14 @@ func newTestbed(cfg TrialConfig, probes probe.Set) (*Testbed, error) {
 	if cfg.CrossTrafficBps > 0 {
 		ct := netsim.NewCrossTraffic(sched, rng.Fork(), tb.Path, cfg.CrossTrafficBps, 0)
 		sched.At(0, ct.Start)
-		// The page load and attack finish well inside 40 s; stopping the
-		// generator lets the trial quiesce instead of simulating hours
-		// of idle background packets.
-		sched.At(40*time.Second, ct.Stop)
+		// The generator stops at its first tick after the flow's last
+		// foreground event: nothing can wake the flow again, so later
+		// background packets would only burn events. The 40 s cap is
+		// background too, so it never holds the flow busy, and a flow
+		// still busy past 40 s sees the load stop there as before.
+		ct.StopWhenIdle()
+		sched.Background(func() { sched.At(40*time.Second, ct.Stop) })
+		tb.CrossTraffic = ct
 	}
 
 	tb.Pair, err = tcpsim.NewPair(sched, rng.Fork(), tb.Path, cfg.TCP)

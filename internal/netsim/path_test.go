@@ -1,9 +1,12 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"h2privacy/internal/check"
+	"h2privacy/internal/probe"
 	"h2privacy/internal/simtime"
 )
 
@@ -155,6 +158,103 @@ func TestCrossTrafficConsumesBandwidth(t *testing.T) {
 	latency := fgArrivals[0] - 50*time.Millisecond
 	if latency <= 1960*time.Microsecond {
 		t.Fatalf("foreground latency %v shows no queueing (unloaded = 1.96ms)", latency)
+	}
+}
+
+// TestCrossTrafficStopsWhenIdle pins the armed generator: it sends
+// exactly what an unarmed one sends while foreground work is pending,
+// stops at its first tick after the last foreground event, and the
+// packets it already sent drain, with the checker's link conservation
+// and stats cross-check clean.
+func TestCrossTrafficStopsWhenIdle(t *testing.T) {
+	type run struct {
+		offers []time.Duration // background packets offered, by time
+		fgLast time.Duration   // the last foreground delivery
+		stop   time.Duration   // the tick that stopped the generator
+		ct     *CrossTraffic
+		sched  *simtime.Scheduler
+	}
+	trial := func(armed bool) run {
+		var r run
+		sched := simtime.NewScheduler()
+		rng := simtime.NewRand(1)
+		ck := check.New(1, 0, nil)
+		ck.SetClock(sched.Now)
+		p, err := NewPath(sched, rng.Fork(), PathConfig{
+			Link:   LinkConfig{BandwidthBps: 10e6, PropDelay: time.Millisecond},
+			Probes: probe.Set{Check: ck},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fgDelivered := func(pkt *Packet) {
+			if _, bg := pkt.Payload.(Background); !bg {
+				r.fgLast = sched.Now()
+			}
+		}
+		p.Connect(fgDelivered, fgDelivered)
+		p.AddTap(tapFunc(func(ev PacketEvent) {
+			if _, bg := ev.Pkt.Payload.(Background); bg {
+				r.offers = append(r.offers, ev.Now)
+			}
+		}))
+		r.ct = NewCrossTraffic(sched, rng.Fork(), p, 5e6, 1200)
+		if armed {
+			r.ct.StopWhenIdle()
+		}
+		sched.At(0, r.ct.Start)
+		for _, at := range []time.Duration{10 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
+			sched.At(at, func() { p.Send(ServerToClient, 1200, "fg") })
+		}
+		var last time.Duration
+		sched.SetStepHook(func(at time.Duration) {
+			ck.SchedulerStep(at)
+			if r.stop == 0 && r.ct.Stopped() {
+				r.stop = last
+			}
+			last = at
+		})
+		sched.RunUntil(time.Second)
+		for _, dir := range []Direction{ClientToServer, ServerToClient} {
+			st := p.Link(dir).Stats()
+			ckDir := uint8(check.DirC2S)
+			if dir == ServerToClient {
+				ckDir = check.DirS2C
+			}
+			ck.LinkStatsFinal(ckDir, st.Sent, st.Delivered, st.Duplicated,
+				st.DroppedLoss, st.DroppedPolicy, st.DroppedQueue, st.DroppedFault, st.BytesDelivered)
+			if armed && st.Sent != st.Delivered {
+				t.Errorf("%v: %d packets sent, %d delivered: in-flight packets did not drain", dir, st.Sent, st.Delivered)
+			}
+		}
+		if n := ck.Finalize(); n != 0 {
+			t.Errorf("armed=%v: %d invariant violations: %v", armed, n, ck.Violations())
+		}
+		r.sched = sched
+		return r
+	}
+
+	armed, free := trial(true), trial(false)
+	if !armed.ct.Stopped() || armed.stop < armed.fgLast {
+		t.Fatalf("generator stopped=%v at %v, want a stop at or after the last foreground event at %v",
+			armed.ct.Stopped(), armed.stop, armed.fgLast)
+	}
+	if gap := armed.stop - armed.fgLast; gap > 10*time.Millisecond {
+		t.Errorf("generator stopped %v after the last foreground event; mean tick gap is 1.92 ms", gap)
+	}
+	if armed.sched.Len() != 0 || armed.sched.Busy() {
+		t.Errorf("%d events (busy=%v) still pending after the stop", armed.sched.Len(), armed.sched.Busy())
+	}
+	// Up to the stop, the armed generator sent exactly what the unarmed
+	// one did, and nothing after it.
+	if len(armed.offers) < 100 || !slices.Equal(armed.offers, free.offers[:len(armed.offers)]) {
+		t.Fatalf("armed generator sent %d packets, not a prefix of the unarmed run's %d", len(armed.offers), len(free.offers))
+	}
+	if at := armed.offers[len(armed.offers)-1]; at > armed.fgLast {
+		t.Errorf("background packet sent at %v, after the last foreground event at %v", at, armed.fgLast)
+	}
+	if free.ct.Stopped() || free.offers[len(free.offers)-1] < 900*time.Millisecond {
+		t.Errorf("unarmed generator stopped (last packet at %v); it must run until Stop", free.offers[len(free.offers)-1])
 	}
 }
 

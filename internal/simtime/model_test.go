@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,14 +10,16 @@ import (
 )
 
 // schedModel is the reference the scheduler is checked against: a sorted
-// slice of pending events ordered by (at, seq), a step counter, the stall
-// window, and the free list as a LIFO stack of fired handles.
+// slice of pending events ordered by (at, seq), each with its class, a
+// step counter, the stall window, the pending foreground count, and the
+// free list as a LIFO stack of fired handles.
 type schedModel struct {
 	now      time.Duration
 	seq      uint64
 	steps    uint64
 	winEnd   time.Duration // end of the stall window
 	winRun   int           // events fired in the stall window
+	fg       int           // pending foreground events
 	pending  []modelEvent
 	free     []*Event        // fired handles, most recent last
 	occupant map[*Event]int  // handle → id of the pending event using it
@@ -25,6 +28,15 @@ type schedModel struct {
 	handles  []*Event        // every handle returned, fired ones included
 	fired    []int           // ids in firing order, as the callbacks saw them
 	want     []int           // ids in firing order, as the model predicts
+	byID     []callbackLog   // indexed by event id
+	err      error           // first divergence found while booking or firing
+}
+
+// callbackLog is what an event's callback did, recorded when the
+// scheduler fired it and read back when the model does.
+type callbackLog struct {
+	kids   []modelKid // events it scheduled, in order
+	fgSeen int        // foreground events pending as it ran
 }
 
 type modelEvent struct {
@@ -32,11 +44,59 @@ type modelEvent struct {
 	seq uint64
 	id  int
 	ev  *Event
+	bg  bool
 }
 
-// fire records the model's earliest pending event as fired. It reports
-// false, leaving the event pending and restarting the window, when the
-// event would put more than stallLimit fires into one stall window.
+// modelKid is an event a callback scheduled. The scheduler ran ahead of
+// the model, so the model books it when it fires the parent.
+type modelKid struct {
+	id   int
+	ev   *Event
+	at   time.Duration
+	wrap bool // scheduled inside Background
+}
+
+func (m *schedModel) failf(format string, args ...any) {
+	if m.err == nil {
+		m.err = fmt.Errorf(format, args...)
+	}
+}
+
+// book records a newly scheduled event: the handle must come off the free
+// list (or be brand new), and the event joins pending under the next seq.
+func (m *schedModel) book(id int, ev *Event, at time.Duration, bg bool) {
+	if m.dead[ev] {
+		m.failf("a cancelled handle was handed out again")
+	}
+	if k := len(m.free); k > 0 {
+		if ev != m.free[k-1] {
+			m.failf("schedule did not reuse the most recently fired event")
+		}
+		m.free = m.free[:k-1]
+	} else if m.seen[ev] {
+		m.failf("schedule reused a handle that is not on the free list")
+	}
+	m.seen[ev] = true
+	m.occupant[ev] = id
+	m.handles = append(m.handles, ev)
+	i := sort.Search(len(m.pending), func(i int) bool {
+		p := m.pending[i]
+		return p.at > at || (p.at == at && p.seq > m.seq)
+	})
+	m.pending = append(m.pending, modelEvent{})
+	copy(m.pending[i+1:], m.pending[i:])
+	m.pending[i] = modelEvent{at: at, seq: m.seq, id: id, ev: ev, bg: bg}
+	m.seq++
+	if !bg {
+		m.fg++
+	}
+}
+
+// fire records the model's earliest pending event as fired, then books
+// the events its callback scheduled: background if the event was, or if
+// scheduled inside Background. It reports false, leaving the event
+// pending and restarting the window, when the event would put more than
+// stallLimit fires into one stall window.
 func (m *schedModel) fire() bool {
 	e := m.pending[0]
 	if e.at >= m.winEnd {
@@ -52,6 +112,18 @@ func (m *schedModel) fire() bool {
 	m.now = e.at
 	m.want = append(m.want, e.id)
 	delete(m.occupant, e.ev)
+	if !e.bg {
+		m.fg--
+	}
+	cb := &m.byID[e.id]
+	if cb.fgSeen != m.fg {
+		m.failf("event %d saw %d foreground events pending, model %d", e.id, cb.fgSeen, m.fg)
+	}
+	for _, k := range cb.kids {
+		m.book(k.id, k.ev, k.at, e.bg || k.wrap)
+	}
+	// The scheduler recycles a fired event after its callback returns,
+	// so the callback's own schedules cannot reuse it.
 	m.free = append(m.free, e.ev)
 	return true
 }
@@ -75,46 +147,71 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 	// Few distinct offsets, so many pending events share a time and only
 	// seq orders them.
 	offsets := []time.Duration{0, 0, 0, time.Microsecond, time.Microsecond, 2 * time.Microsecond, 7 * time.Microsecond}
-	record := func(v any) { m.fired = append(m.fired, v.(int)) }
-	nextID := 0
 
-	schedule := func(kind int, at time.Duration) bool {
-		id := nextID
-		nextID++
-		var ev *Event
-		switch kind {
-		case 0:
-			ev = s.At(at, func() { m.fired = append(m.fired, id) })
-		case 1:
-			ev = s.AtArg(at, record, id)
-		default:
-			ev = s.After(at-s.Now(), func() { m.fired = append(m.fired, id) })
+	// A plan is a child an event's callback schedules when it fires.
+	type plan struct {
+		kind int
+		off  time.Duration
+		wrap bool
+	}
+	var plans [][]plan // indexed by event id
+	piling := false
+	var arm func(kind int, at time.Duration, wrap bool) (int, *Event)
+	fired := func(id int) {
+		m.fired = append(m.fired, id)
+		m.byID[id].fgSeen = s.fg
+		for _, p := range plans[id] {
+			at := s.Now() + p.off
+			kid, ev := arm(p.kind, at, p.wrap)
+			// arm may grow byID, so index it afresh.
+			m.byID[id].kids = append(m.byID[id].kids, modelKid{id: kid, ev: ev, at: at, wrap: p.wrap})
 		}
-		if m.dead[ev] {
-			return fail("a cancelled handle was handed out again")
-		}
-		if k := len(m.free); k > 0 {
-			if ev != m.free[k-1] {
-				return fail("schedule did not reuse the most recently fired event")
+	}
+	record := func(v any) { fired(v.(int)) }
+	// arm schedules a new event on the scheduler through one of its three
+	// entry points, inside Background when wrap is set. Outside a stall
+	// pile, one event in four plans one or two children (an expected
+	// 0.375 per event, so chains die out).
+	arm = func(kind int, at time.Duration, wrap bool) (int, *Event) {
+		id := len(plans)
+		var pl []plan
+		if !piling && r.Intn(4) == 0 {
+			for k := 1 + r.Intn(2); k > 0; k-- {
+				pl = append(pl, plan{r.Intn(3), offsets[r.Intn(len(offsets))], r.Intn(3) == 0})
 			}
-			m.free = m.free[:k-1]
-		} else if m.seen[ev] {
-			return fail("schedule reused a handle that is not on the free list")
+		}
+		plans = append(plans, pl)
+		m.byID = append(m.byID, callbackLog{})
+		var ev *Event
+		sched := func() {
+			switch kind {
+			case 0:
+				ev = s.At(at, func() { fired(id) })
+			case 1:
+				ev = s.AtArg(at, record, id)
+			default:
+				ev = s.After(at-s.Now(), func() { fired(id) })
+			}
+		}
+		if wrap {
+			s.Background(sched)
+		} else {
+			sched()
 		}
 		if ev.Time() != at {
-			return fail("Time() = %v, want %v", ev.Time(), at)
+			m.failf("Time() = %v, want %v", ev.Time(), at)
 		}
-		m.seen[ev] = true
-		m.occupant[ev] = id
-		m.handles = append(m.handles, ev)
-		i := sort.Search(len(m.pending), func(i int) bool {
-			p := m.pending[i]
-			return p.at > at || (p.at == at && p.seq > m.seq)
-		})
-		m.pending = append(m.pending, modelEvent{})
-		copy(m.pending[i+1:], m.pending[i:])
-		m.pending[i] = modelEvent{at: at, seq: m.seq, id: id, ev: ev}
-		m.seq++
+		return id, ev
+	}
+
+	// schedule arms an event from outside any callback, where its class is
+	// foreground unless wrapped in Background.
+	schedule := func(kind int, at time.Duration, wrap bool) bool {
+		id, ev := arm(kind, at, wrap)
+		m.book(id, ev, at, wrap)
+		if m.err != nil {
+			return fail("%v", m.err)
+		}
 		return true
 	}
 
@@ -126,6 +223,9 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 		}
 		for i, p := range m.pending {
 			if p.id == id {
+				if !p.bg {
+					m.fg--
+				}
 				m.pending = append(m.pending[:i], m.pending[i+1:]...)
 				break
 			}
@@ -134,24 +234,50 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 		m.dead[ev] = true
 	}
 
+	// agree compares the scheduler with the model after an op.
+	checked := 0 // fired ids already compared
+	agree := func(when string) bool {
+		if m.err != nil {
+			return fail("%s: %v", when, m.err)
+		}
+		if s.Now() != m.now || s.Len() != len(m.pending) || s.Steps() != m.steps {
+			return fail("%s: now/len/steps = %v/%d/%d, model %v/%d/%d",
+				when, s.Now(), s.Len(), s.Steps(), m.now, len(m.pending), m.steps)
+		}
+		if s.fg != m.fg || s.Busy() != (m.fg > 0) {
+			return fail("%s: %d foreground events pending, Busy() = %v; model %d",
+				when, s.fg, s.Busy(), m.fg)
+		}
+		if len(m.fired) != len(m.want) {
+			return fail("%s: %d events fired, model %d", when, len(m.fired), len(m.want))
+		}
+		for ; checked < len(m.want); checked++ {
+			if m.fired[checked] != m.want[checked] {
+				return fail("%s: firing order diverges at %d: %d, model %d", when, checked, m.fired[checked], m.want[checked])
+			}
+		}
+		return true
+	}
+
 	// One program in 32 piles enough events onto Now, at one random op,
 	// to overfill the stall window.
 	stallOp := -1
 	if r.Intn(32) == 0 {
 		stallOp = r.Intn(n)
 	}
-	checked := 0
 	for op := 0; op < n; op++ {
 		switch c := r.Intn(20); {
 		case op == stallOp:
 			// Stall trip: Run fires until the window holds stallLimit
 			// events; the event that would exceed it stays pending with
 			// its seq.
+			piling = true
 			for i, pile := 0, stallLimit+r.Intn(3); i < pile; i++ {
-				if !schedule(r.Intn(3), s.Now()) {
+				if !schedule(r.Intn(3), s.Now(), r.Intn(4) == 0) {
 					return false
 				}
 			}
+			piling = false
 			tripped := func() (tripped bool) {
 				defer func() {
 					if rec := recover(); rec != nil {
@@ -172,7 +298,7 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 				return fail("stall trip = %v, want %v", tripped, wantTrip)
 			}
 		case c < 9:
-			if !schedule(c%3, s.Now()+offsets[r.Intn(len(offsets))]) {
+			if !schedule(c%3, s.Now()+offsets[r.Intn(len(offsets))], r.Intn(4) == 0) {
 				return false
 			}
 		case c < 13:
@@ -199,17 +325,8 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 				m.now = deadline
 			}
 		}
-		if s.Now() != m.now || s.Len() != len(m.pending) || s.Steps() != m.steps {
-			return fail("op %d: now/len/steps = %v/%d/%d, model %v/%d/%d",
-				op, s.Now(), s.Len(), s.Steps(), m.now, len(m.pending), m.steps)
-		}
-		if len(m.fired) != len(m.want) {
-			return fail("op %d: %d events fired, model %d", op, len(m.fired), len(m.want))
-		}
-		for ; checked < len(m.want); checked++ {
-			if m.fired[checked] != m.want[checked] {
-				return fail("op %d: firing order diverges at %d: %d, model %d", op, checked, m.fired[checked], m.want[checked])
-			}
+		if !agree(fmt.Sprintf("op %d", op)) {
+			return false
 		}
 	}
 
@@ -217,7 +334,7 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 	// event whose step lands on the poll boundary is counted, pushed back
 	// and stays pending; the run stops there for good.
 	for len(m.pending) < pollEvery+64 {
-		if !schedule(r.Intn(3), s.Now()+offsets[r.Intn(len(offsets))]) {
+		if !schedule(r.Intn(3), s.Now()+offsets[r.Intn(len(offsets))], r.Intn(4) == 0) {
 			return false
 		}
 	}
@@ -233,26 +350,28 @@ func runModelProgram(t *testing.T, seed int64, n int) bool {
 	if s.Step() {
 		return fail("Step ran an event after the interrupt")
 	}
-	if s.Now() != m.now || s.Len() != len(m.pending) || s.Steps() != m.steps {
-		return fail("after interrupt: now/len/steps = %v/%d/%d, model %v/%d/%d",
-			s.Now(), s.Len(), s.Steps(), m.now, len(m.pending), m.steps)
-	}
-	for i := range m.want {
-		if m.fired[i] != m.want[i] {
-			return fail("after interrupt: firing order diverges at %d", i)
-		}
+	if !agree("after interrupt") {
+		return false
 	}
 	if ev := s.peek(); ev == nil || ev.Time() != m.pending[0].at || m.occupant[ev] != m.pending[0].id {
 		return fail("the pushed-back event is not the earliest pending one")
 	}
-	return true
+	// Cancelling everything left, the pushed-back event included, must
+	// bring the foreground count to exactly zero.
+	for len(m.pending) > 0 {
+		cancel(m.pending[0].ev)
+	}
+	return agree("after cancelling the rest")
 }
 
 // TestSchedulerMatchesModel checks random op sequences — At/AtArg/After
-// at heavily tied times, Cancel of pending, cancelled and fired (possibly
-// recycled) handles, Step, RunUntil, a stall-rule trip and a final
-// interrupt — against a sorted-slice reference ordered by (at, seq),
-// including the free list's reuse order.
+// at heavily tied times, in the foreground or inside Background, from
+// outside any event or from callbacks (so background inherits), Cancel of
+// pending, cancelled and fired (possibly recycled) handles, Step,
+// RunUntil, a stall-rule trip and a final interrupt — against a
+// sorted-slice reference ordered by (at, seq), including the free list's
+// reuse order and the pending foreground count behind Busy, checked after
+// every op and as each callback saw it.
 func TestSchedulerMatchesModel(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(func(seed int64) bool { return runModelProgram(t, seed, 400) }, cfg); err != nil {

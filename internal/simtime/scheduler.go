@@ -2,6 +2,15 @@
 // virtual clock. All simulated components (links, TCP endpoints, HTTP/2
 // applications, the adversary) run as callbacks on a single Scheduler, so an
 // entire trial is single-threaded and bit-reproducible for a given seed.
+//
+// Events come in two classes. Foreground events are the default.
+// Background events are load that nothing in the foreground reads back
+// (netsim's cross traffic): an event scheduled while a background event
+// runs, or inside Background, is itself background, so a background
+// source and everything it causes stay background. Busy reports whether
+// any foreground event is still pending; once it is false during a
+// background event, no foreground event can ever be scheduled again. The
+// class never changes the order events fire in.
 package simtime
 
 import (
@@ -30,6 +39,7 @@ type Event struct {
 	arg  any
 	idx  int // heap index; -1 once removed
 	dead bool
+	bg   bool   // background class (see the package comment)
 	next *Event // free-list link; non-nil only while recycled
 }
 
@@ -45,6 +55,11 @@ type Scheduler struct {
 	running  bool
 	free     *Event // recycled fired events (see Event)
 	stepHook func(time.Duration)
+
+	// Event classes (see the package comment): bg is the class new events
+	// get, fg counts the pending foreground events.
+	bg bool
+	fg int
 
 	// Stall rule and cancellation state (see StallError / SetInterrupt).
 	steps       uint64
@@ -114,6 +129,21 @@ func (s *Scheduler) SetStepHook(fn func(time.Duration)) { s.stepHook = fn }
 // Len reports the number of pending events.
 func (s *Scheduler) Len() int { return len(s.queue) }
 
+// Busy reports whether any foreground event is pending. Called from an
+// event's callback, it does not count that event itself.
+func (s *Scheduler) Busy() bool { return s.fg > 0 }
+
+// Background runs fn at once with background as the class of every
+// event it schedules; by inheritance, everything those events schedule
+// is background too. Called inside a background event it changes
+// nothing.
+func (s *Scheduler) Background(fn func()) {
+	prev := s.bg
+	s.bg = true
+	defer func() { s.bg = prev }()
+	fn()
+}
+
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // (before Now) panics: it is always a simulation bug, never a recoverable
 // condition.
@@ -127,12 +157,11 @@ func (s *Scheduler) At(at time.Duration, fn func()) *Event {
 	ev := s.free
 	if ev != nil {
 		s.free = ev.next
-		*ev = Event{at: at, seq: s.nextSeq, fn: fn}
+		*ev = Event{at: at, seq: s.nextSeq, fn: fn, bg: s.bg}
 	} else {
-		ev = &Event{at: at, seq: s.nextSeq, fn: fn}
+		ev = &Event{at: at, seq: s.nextSeq, fn: fn, bg: s.bg}
 	}
-	s.nextSeq++
-	s.queue.push(ev)
+	s.enqueue(ev)
 	return ev
 }
 
@@ -161,13 +190,21 @@ func (s *Scheduler) AtArg(at time.Duration, fn func(any), arg any) *Event {
 	ev := s.free
 	if ev != nil {
 		s.free = ev.next
-		*ev = Event{at: at, seq: s.nextSeq, fnA: fn, arg: arg}
+		*ev = Event{at: at, seq: s.nextSeq, fnA: fn, arg: arg, bg: s.bg}
 	} else {
-		ev = &Event{at: at, seq: s.nextSeq, fnA: fn, arg: arg}
+		ev = &Event{at: at, seq: s.nextSeq, fnA: fn, arg: arg, bg: s.bg}
 	}
-	s.nextSeq++
-	s.queue.push(ev)
+	s.enqueue(ev)
 	return ev
+}
+
+// enqueue queues a new event under the next sequence number.
+func (s *Scheduler) enqueue(ev *Event) {
+	s.nextSeq++
+	if !ev.bg {
+		s.fg++
+	}
+	s.queue.push(ev)
 }
 
 // AfterArg is After's AtArg form.
@@ -190,6 +227,9 @@ func (s *Scheduler) Cancel(ev *Event) {
 	ev.dead = true
 	if ev.idx >= 0 {
 		s.queue.remove(ev.idx)
+		if !ev.bg {
+			s.fg--
+		}
 	}
 }
 
@@ -221,16 +261,23 @@ func (s *Scheduler) Step() bool {
 			s.queue.push(ev)
 			return false
 		}
+		// Past both push-backs: the event fires, so it leaves the
+		// foreground count exactly once.
+		if !ev.bg {
+			s.fg--
+		}
 		ev.dead = true
 		s.now = ev.at
 		if s.stepHook != nil {
 			s.stepHook(ev.at)
 		}
+		s.bg = ev.bg
 		if ev.fn != nil {
 			ev.fn()
 		} else {
 			ev.fnA(ev.arg)
 		}
+		s.bg = false
 		// Recycle only after the callback returns: a callback that reaches
 		// its own stale handle (cancel-guarded cleanup paths) still sees a
 		// dead, unpooled event and no-ops. The struct becomes live again
